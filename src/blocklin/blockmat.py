@@ -38,7 +38,6 @@ __all__ = [
     "transpose",
     "adjoint",
     "circ_conjugate",
-    "scale_by_t_powers",
     "scale_all",
 ]
 
@@ -390,32 +389,6 @@ def circ_conjugate(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMat
             walk(a),
             scale_all(walk(c), ring.t_power(half), counter),
             scale_all(walk(b), ring.t_power(-half), counter),
-            walk(d),
-        )
-
-    return walk(m)
-
-
-def scale_by_t_powers(
-    m: BlockMatrix, sign: int, counter: OpCounter | None = None
-) -> BlockMatrix:
-    """Multiply entry (i, j) by t**(sign*(i-j)); diagonals are untouched."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    counter = counter if counter is not None else OpCounter()
-    ring = m.ring
-    if not hasattr(ring, "t_power"):
-        raise TypeError("t-power scaling needs rational function entries")
-
-    def walk(node):
-        if node.is_leaf:
-            return node
-        a, b, c, d = node.blocks
-        half = node.dimension // 2
-        return BlockMatrix.quad(
-            walk(a),
-            scale_all(walk(b), ring.t_power(-sign * half), counter),
-            scale_all(walk(c), ring.t_power(sign * half), counter),
             walk(d),
         )
 

@@ -7,7 +7,9 @@ deterministic generator (mt19937), which is recorded in generated file
 headers.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 singular input, 4 pivot-block failure, 5 randomness exhausted.
+3 singular input, 4 pivot-block failure, 5 invertible input that block
+pivoting cannot factor (RandomnessExhausted: some node has all four
+half-size blocks singular).
 """
 
 from __future__ import annotations
@@ -48,10 +50,13 @@ EXIT_RANDOMNESS = 5
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _write_text(path: str, text: str):
@@ -192,15 +197,12 @@ def _cmd_lu(args) -> int:
     block = _to_block(dense)
     counter = bm.OpCounter(label="lu")
     if args.randomized:
-        stats: dict = {}
-        low, up = randomized_lu(block, args.seed, args.max_retries, counter, stats=stats)
-        n = low.dimension
-        pvec = list(range(n))
-        qvec = list(range(n))
-        print(f"# randomized path: yes (attempts {stats['attempts']})", file=sys.stderr)
+        low, up = randomized_lu(block, counter)
+        pvec = qvec = list(range(low.dimension))
+        print("# randomized path: yes", file=sys.stderr)
         l_body, u_body = low.body, up.body
     else:
-        result = lu_decompose(block, counter, seed=args.seed, max_retries=args.max_retries)
+        result = lu_decompose(block, counter)
         pvec, qvec = result.permutation_vectors()
         print("# randomized path: no", file=sys.stderr)
         l_body, u_body = result.l.body, result.u.body
@@ -335,8 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lu_cmd = sub.add_parser("lu", help="factor as P L U Q")
     lu_cmd.add_argument("input")
     lu_cmd.add_argument("--randomized", action="store_true")
-    lu_cmd.add_argument("--seed", type=int, default=0)
-    lu_cmd.add_argument("--max-retries", type=int, default=8)
     lu_cmd.add_argument("--out-prefix", default="out")
     lu_cmd.set_defaults(handler=_cmd_lu)
 

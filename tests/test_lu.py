@@ -39,7 +39,7 @@ from blocklin.complexity import (
     recurrence_T_triinv,
     recurrence_T_trimul,
 )
-from blocklin.dense import dense_determinant, dense_mul
+from blocklin.dense import DenseMatrix, dense_determinant, dense_mul
 from blocklin.sampling import (
     random_all_blocks_singular,
     random_dense,
@@ -60,28 +60,56 @@ def random_invertible_block(ring, depth, rng):
 # -- block_pivot -----------------------------------------------------------------
 
 
+# GF(7): the leading block A is singular, C is invertible
+SINGULAR_A_ROWS = [[1, 2, 1, 0], [3, 6, 0, 1], [2, 1, 5, 5], [1, 1, 0, 3]]
+
+
+def assert_lead_factors(pivoted):
+    """The returned factorization is one of the arranged leading block."""
+    arranged, lead = pivoted[2], pivoted[3]
+    assert lead.reconstruct() == arranged.a
+    assert lead.l.is_structurally_valid() and lead.u.is_structurally_valid()
+
+
 def test_block_pivot_keeps_invertible_leading_block():
     m = ring_mat(QQ, [[1, 2], [3, 4]])
-    assert block_pivot(m) == (False, False, m)
+    pivoted = block_pivot(m)
+    assert pivoted[:3] == (False, False, m)
+    assert_lead_factors(pivoted)
 
 
 def test_block_pivot_row_swap():
     m = ring_mat(QQ, [[0, 1], [1, 0]])
-    assert block_pivot(m) == (True, False, identity(1, QQ))
+    pivoted = block_pivot(m)
+    assert pivoted[:3] == (True, False, identity(1, QQ))
+    assert_lead_factors(pivoted)
 
 
 def test_block_pivot_precedence_prefers_row_swap():
     # A singular; B, C, D all invertible: the row swap (C) wins
     m = ring_mat(QQ, [[0, 1], [1, 1]])
-    swaps = block_pivot(m)[:2]
-    assert swaps == (True, False)
+    pivoted = block_pivot(m)
+    assert pivoted[:2] == (True, False)
+    assert_lead_factors(pivoted)
 
 
 def test_block_pivot_column_then_both():
-    col = ring_mat(QQ, [[0, 1], [0, 1]])
-    assert block_pivot(col)[:2] == (False, True)
-    both = ring_mat(QQ, [[0, 0], [0, 1]])
-    assert block_pivot(both)[:2] == (True, True)
+    for rows, swaps in (([[0, 1], [0, 1]], (False, True)), ([[0, 0], [0, 1]], (True, True))):
+        pivoted = block_pivot(ring_mat(QQ, rows))
+        assert pivoted[:2] == swaps
+        assert_lead_factors(pivoted)
+
+
+def test_block_pivot_counts_only_the_kept_lead():
+    # A is probed first and rejected; only C's factorization is counted
+    m = ring_mat(GF(7), SINGULAR_A_ROWS)
+    counter = OpCounter()
+    pivoted = block_pivot(m, counter)
+    assert pivoted[:2] == (True, False)
+    assert_lead_factors(pivoted)
+    alone = OpCounter()
+    lu_decompose(m.c, alone)
+    assert counter.snapshot() == alone.snapshot()
 
 
 def test_block_pivot_all_blocks_singular():
@@ -360,38 +388,31 @@ def lu_able_matrix(ring, depth, rng):
 
 def test_randomized_deterministic_and_exact(rng):
     m = lu_able_matrix(QQ, 2, rng)
-    first = randomized_lu(m, seed=9)
-    second = randomized_lu(m, seed=9)
+    first = randomized_lu(m)
+    second = randomized_lu(m)
     assert first[0].body == second[0].body and first[1].body == second[1].body
     low, up = first
     assert mul(low.body, up.body) == m
     assert low.unit_diagonal and low.is_structurally_valid()
     assert up.is_structurally_valid()
-    other = randomized_lu(m, seed=10)
-    assert mul(other[0].body, other[1].body) == m
 
 
-def test_randomized_identity_with_stubbed_sampling(monkeypatch):
-    def identity_preconditioner(ring, depth, orientation, rng, sample):
-        return TriangularMatrix(identity(depth, ring), orientation, True)
-
-    monkeypatch.setattr(lu_mod, "_random_unit_triangular", identity_preconditioner)
+def test_randomized_identity():
     eye = identity(2, QQ)
-    low, up = randomized_lu(eye, seed=1)
+    low, up = randomized_lu(eye)
     assert low.body == eye and up.body == eye
 
 
-def test_randomized_gf2_lifts_through_ratfun(rng):
+def test_randomized_gf2_stays_in_base_field(rng):
     m = lu_able_matrix(GF(2), 2, rng)
-    low, up = randomized_lu(m, seed=4)
+    low, up = randomized_lu(m)
     assert low.body.ring.spec == "gf:2"
     assert mul(low.body, up.body) == m
 
 
-def test_randomized_small_odd_prime_lift(rng):
-    # p = 3 < 2 n^2 forces the polynomial sampling set as well
+def test_randomized_small_odd_prime(rng):
     m = lu_able_matrix(GF(3), 2, rng)
-    low, up = randomized_lu(m, seed=2)
+    low, up = randomized_lu(m)
     assert low.body.ring.spec == "gf:3"
     assert mul(low.body, up.body) == m
     assert low.is_structurally_valid() and up.is_structurally_valid()
@@ -399,18 +420,85 @@ def test_randomized_small_odd_prime_lift(rng):
 
 def test_randomized_zero_is_singular():
     with pytest.raises(SingularMatrix):
-        randomized_lu(zero_matrix(1, QQ), seed=1)
+        randomized_lu(zero_matrix(1, QQ))
 
 
 def test_randomized_exhausts_on_singular_leading_minor():
-    # unit-triangular preconditioning preserves every leading minor of the
-    # input, so a singular leading half-block can never be repaired and no
-    # permutation-free triangular factorization exists
-    m4 = witness_all_blocks_singular()
-    stats = {}
+    # M = L*U with triangular factors needs every leading minor nonzero, and
+    # the witness's leading half-block is singular
     with pytest.raises(RandomnessExhausted):
-        randomized_lu(m4, seed=1, max_retries=8, stats=stats)
-    assert stats["attempts"] == 8
+        randomized_lu(witness_all_blocks_singular())
+
+
+# -- pivoting by factoring ---------------------------------------------------------
+
+
+def test_witness_error_carries_root_path():
+    m = witness_all_blocks_singular()
+    for factor in (lu_decompose, randomized_lu):
+        with pytest.raises(RandomnessExhausted) as info:
+            factor(m)
+        assert info.value.path == ()
+
+
+def test_lu_needs_no_invertibility_test_when_pivots_factor(monkeypatch):
+    def refuse(m):
+        raise AssertionError("is_invertible called on a factorable input")
+
+    monkeypatch.setattr(lu_mod, "is_invertible", refuse)
+    rng = random.Random(stable_seed("no-is-invertible"))
+    strong = lu_able_matrix(QQ, 3, rng)
+    res = lu_decompose(strong)
+    assert res.p.is_identity and res.q.is_identity
+    assert res.reconstruct() == strong
+    # GF(7), A singular: the candidate A is rejected by factoring it
+    m = ring_mat(GF(7), SINGULAR_A_ROWS)
+    res = lu_decompose(m)
+    assert res.p.to_vector()[:2] == [2, 3]
+    assert res.reconstruct() == m
+
+
+# GF(2), n=16: quadrants A and C are singular, B is invertible
+NESTED_ROWS = [
+    "1110111100001000", "0100100010011110", "0011010100001010", "1010111101111011",
+    "0000100110000110", "0000100010100010", "1011000011011100", "1010011100100101",
+    "1100110101010111", "1110100000010111", "0100011001001100", "0111110100001011",
+    "0100011000010010", "0011101000011100", "0100000010010110", "0010000110011001",
+]
+
+
+def test_singular_candidate_failing_below_an_invertible_block_is_skipped():
+    m = ring_mat(GF(2), [[int(x) for x in row] for row in NESTED_ROWS])
+    # probing C keeps an invertible block of C whose quadrants are all
+    # singular, so the probe ends in RandomnessExhausted, not SingularMatrix
+    assert dense_determinant(to_dense(m.c)).is_zero()
+    with pytest.raises(RandomnessExhausted):
+        lu_decompose(m.c)
+    assert block_pivot(m)[:2] == (False, True)
+    res = lu_decompose(m)
+    assert res.reconstruct() == m
+    assert res.l.is_structurally_valid() and res.u.is_structurally_valid()
+
+
+def test_lu_factors_ratfun_over_prime_field():
+    # Schur inversion of the leading block [[0, t], [1, 0]] fails and
+    # K(t) over GF(p) has no Gram driver, so an invertibility test by
+    # inversion could not decide it; factoring it with a swap does
+    ring = RatFun(GF(7))
+    t = ring.t_power(1)
+    one, zero = ring.one(), ring.zero()
+    rows = [
+        [zero, t, one, zero],
+        [one, zero, zero, one],
+        [zero, zero, one, t],
+        [one, one, zero, one],
+    ]
+    dense = DenseMatrix(4, rows, ring)
+    assert not dense_determinant(dense).is_zero()
+    m = from_dense(dense)
+    res = lu_decompose(m)
+    assert res.reconstruct() == m
+    assert res.l.is_structurally_valid() and res.u.is_structurally_valid()
 
 
 def test_structural_zeros_hold_after_factor_products(rng):

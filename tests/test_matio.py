@@ -44,6 +44,8 @@ def test_header_and_comments():
         "ring q\nsize x\n1 2\n3 4\n",
         "ring q\nsize 2\n1 2\n3 4/0\n",
         "ring gf:8\nsize 1\n1\n",
+        "ring ratfun:ratfun:q\nsize 1\n1\n",
+        "ring ratfun:qi\nsize 1\n1\n",
     ],
 )
 def test_malformed_files_rejected(text):
