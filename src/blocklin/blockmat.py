@@ -369,11 +369,13 @@ def scale_all(m: BlockMatrix, factor, counter: OpCounter | None = None) -> Block
 
 
 def circ_conjugate(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:
-    """Conjugated transpose over K(t): entry (i, j) becomes t**(j-i) * m[j][i].
+    """Conjugated transpose: entry (i, j) becomes t**(j-i) * m[j][i].
 
-    Implemented as recursive block transposition with whole-block t-power
-    scalings; rows are never touched individually.  Applying it twice
-    restores the input.
+    The entries come from a ring with a variable t and its powers
+    (``ring.t_power``): K(t), or the lift field GF(p)[t]/Phi_l.  Implemented
+    as recursive block transposition with whole-block t-power scalings;
+    rows are never touched individually.  Applying it twice restores the
+    input.
     """
     counter = counter if counter is not None else OpCounter()
     ring = m.ring

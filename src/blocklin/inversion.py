@@ -12,10 +12,12 @@ Four inverters, none of which ever touches an individual row:
   pivot.  Sub-inversions recurse through the same driver.
 * :func:`invert_gram_star` -- the same with the conjugation involution in
   place of transposition, for Gaussian rationals and quaternions.
-* :func:`invert_gram_gv` -- for matrices over any base field: lift into the
-  rational function field K(t), conjugate with the diagonal t-power weight
-  matrix, invert the resulting self-adjoint Gram matrix, and project the
-  constant result back to K.
+* :func:`invert_gram_gv` -- for matrices over any base field: adjoin a
+  variable t, conjugate with the diagonal t-power weight matrix, invert the
+  resulting self-adjoint Gram matrix, and project the constant result back
+  to K.  Over the rationals t stays a variable (the field K(t)); over GF(p)
+  it is a root of unity in the finite field GF(p)[t]/Phi_l, whose degree
+  is large enough that no pivot of the inversion changes.
 
 The self-adjoint inversion core (:func:`hermitian_invert`) exploits the
 Gram symmetry of its input: per node it spends exactly four half-size
@@ -37,7 +39,9 @@ from .errors import (
     PivotBlockSingular,
     SingularMatrix,
 )
-from .rings import RatFun
+from .cyclotomic import lift_field
+from .dense import dense_determinant
+from .rings import QQ, RatFun
 
 __all__ = [
     "ConjugationKind",
@@ -88,13 +92,22 @@ def schur_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatri
     return _schur(m, counter, ())
 
 
+def _invert_leaf(leaf, counter, path, error):
+    """Invert a 1x1 block, tallied as one division; raises ``error(path)`` on zero."""
+    inv = leaf.scalar.try_invert()
+    if inv is None:
+        raise error(path)
+    counter.div_count += 1
+    return BlockMatrix.leaf(inv)
+
+
+def _zero_pivot(path):
+    return GramSingular(f"zero pivot at node {'/'.join(path) or '<root>'}")
+
+
 def _schur(m, counter, path):
     if m.is_leaf:
-        inv = m.scalar.try_invert()
-        if inv is None:
-            raise PivotBlockSingular(path)
-        counter.div_count += 1
-        return BlockMatrix.leaf(inv)
+        return _invert_leaf(m, counter, path, PivotBlockSingular)
     a, b, c, d = m.blocks
     a_inv = _schur(a, counter, path + ("A",))
     c_ainv = bm.mul(c, a_inv, counter)
@@ -133,11 +146,7 @@ def _self_adjoint_node(n, kind, counter, sub_invert, path):
     by the symmetry and rebuilt multiplication-free.
     """
     if n.is_leaf:
-        inv = n.scalar.try_invert()
-        if inv is None:
-            raise GramSingular(f"zero pivot at node {'/'.join(path) or '<root>'}")
-        counter.div_count += 1
-        return BlockMatrix.leaf(inv)
+        return _invert_leaf(n, counter, path, _zero_pivot)
     a, b, _, d = n.blocks
     half = n.dimension // 2
     a_inv = sub_invert(a, path + ("A",))
@@ -186,11 +195,7 @@ def invert_gram_transpose(m: BlockMatrix, counter: OpCounter | None = None) -> B
 
     def driver(x, path):
         if x.is_leaf:
-            inv = x.scalar.try_invert()
-            if inv is None:
-                raise GramSingular(f"zero pivot at node {'/'.join(path) or '<root>'}")
-            counter.div_count += 1
-            return BlockMatrix.leaf(inv)
+            return _invert_leaf(x, counter, path, _zero_pivot)
         xt = bm.transpose(x)
         gram = bm.mul(xt, x, counter)
         gram_inv = _self_adjoint_node(
@@ -227,10 +232,11 @@ def lift_to_ratfun(m: BlockMatrix) -> BlockMatrix:
 
 
 def project_to_base(m: BlockMatrix, base) -> BlockMatrix:
-    """Entrywise projection of a constant K(t) matrix back to K.
+    """Entrywise projection of a constant lifted matrix back to K.
 
+    The entries come from K(t) or from the lift field GF(p)[t]/Phi_l.
     Raises NonConstantResidue naming the first entry that is not a
-    degree-zero rational function; nothing is ever truncated.
+    constant; nothing is ever truncated.
     """
 
     def walk(node, row, col):
@@ -251,7 +257,7 @@ def project_to_base(m: BlockMatrix, base) -> BlockMatrix:
 
 
 def invert_gram_gv(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:
-    """Invert over any base field by lifting into K(t).
+    """Invert over any base field by adjoining a variable t.
 
     The conjugate M° = entrywise t**(j-i) * M[j][i] yields a Gram matrix
     M°M over K(t) whose leading blocks are invertible whenever M is, even
@@ -259,12 +265,24 @@ def invert_gram_gv(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMat
     constant entrywise and is projected back to the base field; a
     non-constant entry is an internal fault and raises instead of being
     truncated.
+
+    Over the rationals the lift runs in K(t).  Over GF(p) it runs in
+    GF(p)[t]/Phi_l (:func:`~blocklin.cyclotomic.lift_field`), where t is a
+    primitive l-th root of unity of degree l - 1 > n(n-1) over GF(p): every
+    leading minor of M°M is a t-power times a polynomial of degree at most
+    n(n-1), so each is zero there exactly when it is zero in K(t).  The inversion therefore meets
+    the same pivots, fails at the same node on singular input, and costs
+    the same counted operations, with no gcd per operation.
     """
     counter = counter if counter is not None else OpCounter()
     base = m.ring
-    if not hasattr(base, "raw_inv"):
+    if base is QQ:
+        target = RatFun(base)
+    elif base.spec.startswith("gf:"):
+        target = lift_field(base.p, m.dimension)
+    else:
         raise TypeError("base-field lift needs rational or prime-field entries")
-    lifted = lift_to_ratfun(m)
+    lifted = bm.map_leaves(m, target.lift)
     conj = bm.circ_conjugate(lifted, counter)
     gram = GramMatrix(bm.mul(conj, lifted, counter), ConjugationKind.CIRC)
     try:
@@ -296,9 +314,9 @@ def auto_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix
     The fallback fires only on PivotBlockSingular, i.e. when some recursion
     node had no invertible leading block.  Rationals fall back to the
     transpose driver, Gaussian rationals and quaternions to the involution
-    driver, prime fields to the K(t) lift.  Rational functions over a prime
-    field have no driver here (that would need a second variable), so the
-    pivot failure propagates for them.
+    driver, prime fields to the base-field lift.  Rational functions over a
+    prime field have no driver here (that would need a second variable), so
+    the pivot failure propagates for them.
     """
     counter = counter if counter is not None else OpCounter()
     scratch = OpCounter()
@@ -315,9 +333,16 @@ def auto_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix
 
 
 def is_invertible(m: BlockMatrix) -> bool:
-    """Whether auto_invert succeeds; all counts are discarded."""
+    """Whether m has an inverse; all counts are discarded.
+
+    Decided by auto_invert.  Where the ring has no Gram driver (rational
+    functions over a prime field) and the Schur recursion fails, a dense
+    determinant decides instead.
+    """
     try:
         auto_invert(m, OpCounter())
     except SingularMatrix:
         return False
+    except PivotBlockSingular:
+        return not dense_determinant(bm.to_dense(m)).is_zero()
     return True

@@ -16,6 +16,11 @@ overload the usual operators and additionally provide ``star()`` (a ring
 involution, the identity where no natural conjugation exists) and
 ``try_invert()`` (returns the multiplicative inverse or ``None``).
 
+One more ring, with no file syntax and no spec, lives in
+:mod:`blocklin.cyclotomic`: the finite field GF(p)[t]/Phi_l in which the
+base-field lift of :func:`~blocklin.inversion.invert_gram_gv` runs over a
+prime field.
+
 All values are immutable after construction and safe to share freely.
 """
 

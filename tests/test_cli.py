@@ -154,6 +154,14 @@ def test_lu_randomized_flag(tmp_path, capsys):
     ) == 0
 
 
+def test_lu_randomized_certifies_ratfun_over_prime_field(tmp_path):
+    # invertible with a zero leading entry: no L*U exists, and the check that
+    # says so must answer for a ring that has no Gram driver
+    m = tmp_path / "m.mat"
+    m.write_text("ring ratfun:gf:7\nsize 2\n(0) (1)\n(1) (0)\n")
+    assert run("lu", str(m), "--randomized", "--out-prefix", str(tmp_path / "r")) == 5
+
+
 def test_ldu_pipeline(tmp_path):
     m = tmp_path / "m.mat"
     m.write_text("ring q\nsize 4\n1 2 0 1\n3 4 1 0\n0 1 1 2\n1 0 2 1\n")

@@ -333,3 +333,17 @@ def test_is_invertible_examples():
     assert not is_invertible(zero_matrix(2, QQ))
     assert is_invertible(witness_all_blocks_singular())
     assert dense_determinant(to_dense(witness_all_blocks_singular())) == QQ.from_int(-1)
+
+
+def test_is_invertible_over_ratfun_prime_field():
+    # no Gram driver exists for this ring, so a failed Schur attempt is
+    # settled by a determinant instead of escaping as PivotBlockSingular
+    ring = RatFun(GF(7))
+    zero, one, t = ring.zero(), ring.one(), ring.t_power(1)
+
+    def block(rows):
+        return from_dense(DenseMatrix(2, rows, ring))
+
+    assert is_invertible(block([[zero, one], [one, zero]]))
+    assert not is_invertible(block([[one, t], [one, t]]))
+    assert not is_invertible(block([[zero, t], [zero, one]]))
