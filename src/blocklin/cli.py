@@ -9,7 +9,8 @@ headers.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 singular input, 4 pivot-block failure, 5 invertible input that block
 pivoting cannot factor (RandomnessExhausted: some node has all four
-half-size blocks singular).
+half-size blocks singular), 6 internal error (an unexpected exception,
+reported as one ``error:`` line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_PIVOT = 4
 EXIT_RANDOMNESS = 5
+EXIT_INTERNAL = 6
 
 
 def _read_text(path: str) -> str:
@@ -244,11 +246,21 @@ def _report_mismatch(kind: str, got, expected, where) -> int:
     return EXIT_CHECK_FAILED
 
 
+def _inputs_disagree(m: DenseMatrix, others, size: int, perms=()) -> bool:
+    """Whether a matrix in ``others`` is over another ring than m or not
+    size x size, or a vector in ``perms`` is not of length size."""
+    if any(x.ring.spec != m.ring.spec or x.n != size for x in others) or any(
+        len(v) != size for v in perms
+    ):
+        print("error: dimension or ring mismatch across inputs", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_check(args) -> int:
     if args.kind == "inverse":
         m, inv = _load(args.files[0]), _load(args.files[1])
-        if m.n != inv.n or m.ring.spec != inv.ring.spec:
-            print("error: dimension or ring mismatch", file=sys.stderr)
+        if _inputs_disagree(m, [inv], m.n):
             return EXIT_USAGE
         eye = dense_identity(m.n, m.ring)
         for left, right in ((m, inv), (inv, m)):
@@ -261,12 +273,11 @@ def _cmd_check(args) -> int:
     if args.kind == "pluq":
         m, low, up = (_load(p) for p in args.files[:3])
         pvec, qvec = matio.parse_permutations(_read_text(args.files[3]))
-        if not (m.n <= low.n == up.n == len(pvec) == len(qvec)):
-            print("error: dimension mismatch across inputs", file=sys.stderr)
-            return EXIT_USAGE
         embedded = bm.to_dense(_to_block(m))
-        product = dense_mul(low, up)
         n = embedded.n
+        if _inputs_disagree(m, [low, up], n, (pvec, qvec)):
+            return EXIT_USAGE
+        product = dense_mul(low, up)
         permuted = DenseMatrix(
             n, [[product.rows[pvec[i]][qvec[j]] for j in range(n)] for i in range(n)], m.ring
         )
@@ -276,11 +287,10 @@ def _cmd_check(args) -> int:
         print("check pluq ok")
         return EXIT_OK
     m, lb, db, ub = (_load(p) for p in args.files[:4])
-    product = dense_mul(dense_mul(lb, db), ub)
     embedded = bm.to_dense(_to_block(m))
-    if product.n != embedded.n:
-        print("error: dimension mismatch across inputs", file=sys.stderr)
+    if _inputs_disagree(m, [lb, db, ub], embedded.n):
         return EXIT_USAGE
+    product = dense_mul(dense_mul(lb, db), ub)
     where = _first_mismatch(product, embedded)
     if where:
         return _report_mismatch("ldu", product, embedded, where)
@@ -392,6 +402,9 @@ def main(argv=None) -> int:
     except BlocklinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

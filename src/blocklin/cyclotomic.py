@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import GF, RingElement, is_prime
+from .rings import GF, RingElement, _strip, is_prime
 
 __all__ = ["lift_field"]
 
@@ -250,13 +250,6 @@ class _CyclotomicField:
 
     def __repr__(self):
         return f"<ring {self.spec}>"
-
-
-def _strip(coeffs) -> list:
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
 
 
 @lru_cache(maxsize=None)

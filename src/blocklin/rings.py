@@ -16,6 +16,10 @@ overload the usual operators and additionally provide ``star()`` (a ring
 involution, the identity where no natural conjugation exists) and
 ``try_invert()`` (returns the multiplicative inverse or ``None``).
 
+QQ and GF(p), the coefficient fields of K(t), share one set of polynomial
+kernels on raw coefficient lists (Fractions over QQ, residues in [0, p)
+over GF(p)); the only per-field step reduces each result list once.
+
 One more ring, with no file syntax and no spec, lives in
 :mod:`blocklin.cyclotomic`: the finite field GF(p)[t]/Phi_l in which the
 base-field lift of :func:`~blocklin.inversion.invert_gram_gv` runs over a
@@ -452,14 +456,6 @@ class Polynomial:
             return Polynomial.zero(f)
         return Polynomial(tuple(f.raw_mul(c, raw) for c in self.coeffs), f)
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        if lead == self.field.raw_one:
-            return self
-        return self.scale(self.field.raw_inv(lead))
-
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -469,9 +465,6 @@ class Polynomial:
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __eq__(self, other):
         return (
@@ -490,7 +483,7 @@ class Polynomial:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean algorithm."""
     field = a.field
-    return Polynomial(field.poly_gcd(a.coeffs, b.coeffs), field, trusted=False)
+    return Polynomial(field.poly_gcd(a.coeffs, b.coeffs), field)
 
 
 class RationalFunction(RingElement):
@@ -533,12 +526,7 @@ class RationalFunction(RingElement):
     def try_invert(self):
         if self.num.is_zero():
             return None
-        num, den = self.den, self.num
-        lead = den.leading()
-        if lead != self.field.raw_one:
-            inv = self.field.raw_inv(lead)
-            num, den = num.scale(inv), den.scale(inv)
-        return RationalFunction(num, den)
+        return _monic_form(self.den, self.num)
 
     def _combine(self, other, subtract: bool):
         # inputs are canonical (gcd(num, den) = 1), which keeps the final
@@ -633,9 +621,6 @@ def ratfun_reduce(num: Polynomial, den: Polynomial) -> RationalFunction:
     """
     if den.is_zero():
         raise ZeroDenominator("rational function with zero denominator")
-    field = num.field
-    if num.is_zero():
-        return RationalFunction(Polynomial.zero(field), Polynomial.one(field))
     v = min(num.valuation(), den.valuation())
     if v:
         num, den = num._strip(v), den._strip(v)
@@ -643,11 +628,7 @@ def ratfun_reduce(num: Polynomial, den: Polynomial) -> RationalFunction:
         g = poly_gcd(num, den)
         if g.degree() > 0:
             num, den = num // g, den // g
-    if den.degree() == 0 or den.leading() != field.raw_one:
-        inv = field.raw_inv(den.leading())
-        if inv != field.raw_one:
-            num, den = num.scale(inv), den.scale(inv)
-    return RationalFunction(num, den)
+    return _monic_form(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +698,90 @@ class _Ring:
         return f"<ring {self.spec}>"
 
 
-class _RationalField(_Ring):
+class _CoefficientField(_Ring):
+    """A coefficient field of K(t): QQ or GF(p).
+
+    Raw coefficients are Fractions over QQ and residues in [0, p) over
+    GF(p).  The polynomial kernels below work on raw coefficient sequences,
+    lowest degree first, with plain + - * and leave every result list to
+    ``_reduce``: the identity over QQ, ``% p`` over GF(p).
+    """
+
+    @staticmethod
+    def raw_is_zero(a):
+        return a == 0
+
+    @staticmethod
+    def raw_format(a):
+        return str(a)
+
+    def _reduce(self, coeffs):
+        return coeffs
+
+    def poly_add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._reduce(out)
+
+    def poly_sub(self, a, b):
+        out = list(a) + [self.raw_zero] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return self._reduce(out)
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [self.raw_zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return self._reduce(out)
+
+    def poly_divmod(self, a, b):
+        """Quotient and remainder of a by b, whose leading coefficient is nonzero.
+
+        The remainder has at most len(b) - 1 entries, possibly zero on top.
+        """
+        rem = list(a)
+        db = len(b) - 1
+        dn = len(rem) - 1
+        if dn < db:
+            return [], rem
+        raw_mul = self.raw_mul
+        inv_lead = self.raw_inv(b[-1])
+        quot = [self.raw_zero] * (dn - db + 1)
+        for k in range(dn - db, -1, -1):
+            coef = raw_mul(rem[db + k], inv_lead)
+            if coef:
+                quot[k] = coef
+                for j, c in enumerate(b, k):
+                    rem[j] -= coef * c
+        return quot, self._reduce(rem[:db])
+
+    def poly_gcd(self, a, b):
+        """Monic greatest common divisor via the Euclidean algorithm."""
+        a, b = _strip(a), _strip(b)
+        while b:
+            a, b = b, _strip(self.poly_divmod(a, b)[1])
+        if a and a[-1] != 1:
+            inv = self.raw_inv(a[-1])
+            a = self._reduce([c * inv for c in a])
+        return a
+
+
+def _strip(coeffs) -> list:
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+class _RationalField(_CoefficientField):
     spec = "q"
 
     raw_zero = Fraction(0)
@@ -743,11 +807,6 @@ class _RationalField(_Ring):
     def random_element(self, rng):
         return Rational(rng.randint(-9, 9))
 
-    # raw coefficient protocol (Fractions)
-    @staticmethod
-    def raw_is_zero(a):
-        return a == 0
-
     @staticmethod
     def raw_add(a, b):
         return a + b
@@ -772,93 +831,23 @@ class _RationalField(_Ring):
     def raw_parse(text):
         return _parse_coefficient(text)
 
-    @staticmethod
-    def raw_format(a):
-        return str(a)
-
     def wrap(self, raw):
         return Rational(raw)
 
     def unwrap(self, x):
         return x.value
 
-    # bulk polynomial kernels over raw coefficient sequences
-    @staticmethod
-    def poly_add(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return out
-
-    @staticmethod
-    def poly_sub(a, b):
-        out = list(a)
-        if len(out) < len(b):
-            out.extend([Fraction(0)] * (len(b) - len(out)))
-        for i, c in enumerate(b):
-            out[i] = out[i] - c
-        return out
-
-    @staticmethod
-    def poly_mul(a, b):
-        if not a or not b:
-            return []
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return out
-
-    @staticmethod
-    def poly_divmod(a, b):
-        rem = list(a)
-        db = len(b) - 1
-        dn = len(rem) - 1
-        if dn < db:
-            return [], rem
-        inv_lead = 1 / b[-1]
-        quot = [Fraction(0)] * (dn - db + 1)
-        for k in range(dn - db, -1, -1):
-            coef = rem[db + k] * inv_lead
-            if coef:
-                quot[k] = coef
-                for j, c in enumerate(b):
-                    rem[j + k] -= coef * c
-        return quot, rem
-
-    def poly_gcd(self, a, b):
-        a, b = list(a), list(b)
-        while a and not a[-1]:
-            a.pop()
-        while b and not b[-1]:
-            b.pop()
-        while b:
-            _, a = self.poly_divmod(a, b)
-            while a and not a[-1]:
-                a.pop()
-            a, b = b, a
-        if a and a[-1] != 1:
-            inv = 1 / a[-1]
-            a = [c * inv for c in a]
-        return a
-
 
 QQ = _RationalField()
 
 
-class _PrimeField(_Ring):
+class _PrimeField(_CoefficientField):
+    raw_zero = 0
+    raw_one = 1
+
     def __init__(self, p: int):
         self.p = p
         self.spec = f"gf:{p}"
-        self.raw_zero = 0
-        self.raw_one = 1 % p
-        # inverse lookup for small moduli; polynomial kernels hit this hard
-        self._inv_table = (
-            [0] + [pow(i, -1, p) for i in range(1, p)] if p <= 1024 else None
-        )
 
     def zero(self):
         return PrimeFieldElement(0, self.p)
@@ -880,9 +869,6 @@ class _PrimeField(_Ring):
     def random_element(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
 
-    def raw_is_zero(self, a):
-        return a == 0
-
     def raw_add(self, a, b):
         return (a + b) % self.p
 
@@ -893,10 +879,6 @@ class _PrimeField(_Ring):
         return a * b % self.p
 
     def raw_inv(self, a):
-        if self._inv_table is not None:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero residue")
-            return self._inv_table[a % self.p]
         return pow(a, -1, self.p)
 
     def raw_from_int(self, n):
@@ -911,142 +893,15 @@ class _PrimeField(_Ring):
             raise ValueError(f"malformed prime field coefficient {text!r}")
         return sign * int(digits) % self.p
 
-    @staticmethod
-    def raw_format(a):
-        return str(a)
-
     def wrap(self, raw):
         return PrimeFieldElement(raw, self.p)
 
     def unwrap(self, x):
         return x.residue
 
-    # bulk polynomial kernels; products defer the reduction until the end,
-    # which keeps the intermediate ints small and the inner loop tight
-    def poly_add(self, a, b):
+    def _reduce(self, coeffs):
         p = self.p
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return out
-
-    def poly_sub(self, a, b):
-        p = self.p
-        out = list(a)
-        if len(out) < len(b):
-            out.extend([0] * (len(b) - len(out)))
-        for i, c in enumerate(b):
-            out[i] = (out[i] - c) % p
-        return out
-
-    def poly_mul(self, a, b):
-        if not a or not b:
-            return []
-        p = self.p
-        la, lb = len(a), len(b)
-        if la * lb <= 12:
-            out = [0] * (la + lb - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            return [c % p for c in out]
-        # pack each polynomial into one big integer; the digit width leaves
-        # headroom so column sums never carry, making the product a single
-        # native bigint multiplication
-        bound = min(la, lb) * (p - 1) * (p - 1) + 1
-        shift = bound.bit_length()
-        mask = (1 << shift) - 1
-        ai = 0
-        for c in reversed(a):
-            ai = (ai << shift) | c
-        bi = 0
-        for c in reversed(b):
-            bi = (bi << shift) | c
-        prod = ai * bi
-        out = []
-        for _ in range(la + lb - 1):
-            out.append((prod & mask) % p)
-            prod >>= shift
-        return out
-
-    def poly_divmod(self, a, b):
-        p = self.p
-        if p == 2:
-            x = _pack_bits(a)
-            y = _pack_bits(b)
-            dy = y.bit_length()
-            quot = 0
-            while x and x.bit_length() >= dy:
-                s = x.bit_length() - dy
-                x ^= y << s
-                quot |= 1 << s
-            return _unpack_bits(quot), _unpack_bits(x)
-        rem = list(a)
-        db = len(b) - 1
-        dn = len(rem) - 1
-        if dn < db:
-            return [], rem
-        inv_lead = self.raw_inv(b[-1])
-        quot = [0] * (dn - db + 1)
-        for k in range(dn - db, -1, -1):
-            coef = rem[db + k] * inv_lead % p
-            if coef:
-                quot[k] = coef
-                for j, c in enumerate(b):
-                    rem[j + k] = (rem[j + k] - coef * c) % p
-        return quot, rem
-
-    def poly_gcd(self, a, b):
-        p = self.p
-        if p == 2:
-            x = _pack_bits(a)
-            y = _pack_bits(b)
-            while y:
-                dy = y.bit_length()
-                while x and x.bit_length() >= dy:
-                    x ^= y << (x.bit_length() - dy)
-                x, y = y, x
-            return _unpack_bits(x)
-        a = list(a)
-        b = list(b)
-        while a and not a[-1]:
-            a.pop()
-        while b and not b[-1]:
-            b.pop()
-        while b:
-            if len(a) < len(b):
-                a, b = b, a
-                continue
-            # a := a mod b, eliminating in place without building a quotient
-            db = len(b) - 1
-            inv_lead = self.raw_inv(b[-1])
-            for k in range(len(a) - 1 - db, -1, -1):
-                coef = a[db + k] * inv_lead % p
-                if coef:
-                    for j in range(db):
-                        a[j + k] = (a[j + k] - coef * b[j]) % p
-                    a[db + k] = 0
-            while a and not a[-1]:
-                a.pop()
-            a, b = b, a
-        if a and a[-1] != 1:
-            inv = self.raw_inv(a[-1])
-            a = [c * inv % p for c in a]
-        return a
-
-
-def _pack_bits(coeffs) -> int:
-    x = 0
-    for c in reversed(coeffs):
-        x = (x << 1) | c
-    return x
-
-
-def _unpack_bits(x: int) -> list:
-    return [(x >> i) & 1 for i in range(x.bit_length())]
+        return [c % p for c in coeffs]
 
 
 @lru_cache(maxsize=None)
@@ -1264,7 +1119,7 @@ def _ratfun_field(base_spec: str) -> _RationalFunctionField:
 
 def RatFun(base) -> _RationalFunctionField:
     """The field of rational functions in t over ``base`` (QQ or GF(p))."""
-    if not isinstance(base, (_RationalField, _PrimeField)):
+    if not isinstance(base, _CoefficientField):
         raise TypeError("rational functions need a QQ or GF(p) base field")
     return _ratfun_field(base.spec)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from blocklin import QQ, dense_determinant, from_dense
+from blocklin import QQ, cli, dense_determinant, from_dense
 from blocklin.cli import main
 from blocklin.matio import format_matrix, parse_matrix
 
@@ -194,7 +194,7 @@ def test_check_detects_corruption(tmp_path, capsys):
     assert "failed at entry" in out
 
 
-def test_check_parse_error_exit_code(tmp_path):
+def test_check_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("ring q\nsize 2\n1 2\n")
     good = tmp_path / "good.mat"
@@ -202,6 +202,23 @@ def test_check_parse_error_exit_code(tmp_path):
     assert run("check", "--kind", "inverse", str(bad), str(good)) == 2
     assert run("check", "--kind", "inverse", str(good)) == 2
     assert run("check", "--kind", "inverse", str(good), str(tmp_path / "nope.mat")) == 2
+    # factor files over another ring or of another size than the input
+    other_ring = tmp_path / "gf7.mat"
+    other_ring.write_text("ring gf:7\nsize 2\n1 0\n0 1\n")
+    small = tmp_path / "small.mat"
+    small.write_text("ring q\nsize 1\n1\n")
+    perms = tmp_path / "id.perms"
+    perms.write_text("perm-rows 1 2\nperm-cols 1 2\n")
+    g, o, s, p = str(good), str(other_ring), str(small), str(perms)
+    capsys.readouterr()
+    assert run("check", "--kind", "ldu", g, o, o, o) == 2
+    assert run("check", "--kind", "ldu", g, g, o, g) == 2
+    assert run("check", "--kind", "ldu", g, g, s, g) == 2
+    assert run("check", "--kind", "pluq", g, o, o, p) == 2
+    assert run("check", "--kind", "pluq", g, o, g, p) == 2
+    assert run("check", "--kind", "pluq", g, g, o, p) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 6 and "Traceback" not in err
 
 
 def test_unreadable_inputs_exit_usage(tmp_path, capsys):
@@ -219,6 +236,18 @@ def test_unreadable_inputs_exit_usage(tmp_path, capsys):
     assert run("check", "--kind", "pluq", str(good), str(good), str(good), str(perms)) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3 and "Traceback" not in err
+
+
+def test_unexpected_error_exits_internal(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_invert", broken)
+    m = tmp_path / "m.mat"
+    write_witness(m)
+    capsys.readouterr()
+    assert run("invert", str(m)) == 6
+    assert capsys.readouterr().err.splitlines() == ["error: internal error: RuntimeError: boom"]
 
 
 def test_mul_strategies_agree(tmp_path):

@@ -148,6 +148,88 @@ def test_quaternion_norm_is_central(parts):
     assert q.norm() >= 0
 
 
+# -- polynomial kernels of the coefficient fields -----------------------------
+
+
+def _strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _schoolbook(field):
+    """Reference add, sub and mul on raw coefficient lists, reduced per entry."""
+    mod = (lambda c: c) if field is QQ else (lambda c: c % field.p)
+
+    def pad(x, n):
+        return list(x) + [0] * (n - len(x))
+
+    def add(a, b, sign=1):
+        n = max(len(a), len(b))
+        return [mod(x + sign * y) for x, y in zip(pad(a, n), pad(b, n))]
+
+    def mul(a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return [mod(c) for c in out]
+
+    return add, (lambda a, b: add(a, b, -1)), mul
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(2**61 - 1)], ids=lambda r: r.spec)
+def test_polynomial_kernels_against_reference(field):
+    rng = random.Random(stable_seed("kernels", field.spec))
+    ref_add, ref_sub, ref_mul = _schoolbook(field)
+
+    def coeff():
+        if rng.random() < 0.25:
+            return field.raw_zero
+        if field is QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return rng.randrange(field.p)
+
+    def poly(max_degree=6):
+        # stripped, as Polynomial stores them: no zero leading coefficient
+        return _strip(coeff() for _ in range(rng.randint(0, max_degree + 1)))
+
+    def canonical(coeffs):
+        if field is QQ:
+            return all(isinstance(c, Fraction) for c in coeffs)
+        return all(isinstance(c, int) and 0 <= c < field.p for c in coeffs)
+
+    for _ in range(300):
+        a, b = poly(), poly()
+        for got, want in (
+            (field.poly_add(a, b), ref_add(a, b)),
+            (field.poly_sub(a, b), ref_sub(a, b)),
+            (field.poly_mul(a, b), ref_mul(a, b)),
+        ):
+            assert got == want and canonical(got)
+        if b:
+            q, r = field.poly_divmod(a, b)
+            assert canonical(q) and canonical(r)
+            assert _strip(ref_add(ref_mul(q, b), r)) == a
+            assert len(_strip(r)) < len(b)
+        # a shared factor c makes deg gcd >= deg c, and c divides the gcd
+        c = poly(3)
+        x, y = _strip(ref_mul(a, c)), _strip(ref_mul(b, c))
+        g = field.poly_gcd(x, y)
+        assert canonical(g) and g == _strip(g)
+        if not x and not y:
+            assert g == []
+            continue
+        assert g[-1] == 1
+        assert _strip(field.poly_divmod(x, g)[1]) == []
+        assert _strip(field.poly_divmod(y, g)[1]) == []
+        if c:
+            assert _strip(field.poly_divmod(g, c)[1]) == []
+
+
 # -- rational function canonicalization --------------------------------------
 
 
@@ -159,7 +241,7 @@ def test_ratfun_reduce_examples():
     assert r2.format(r2.parse("(1*t)/(1*t)")) == "(1)"
 
 
-@pytest.mark.parametrize("base", [QQ, GF(2), GF(7)], ids=lambda r: r.spec)
+@pytest.mark.parametrize("base", [QQ, GF(2), GF(7), GF(2**61 - 1)], ids=lambda r: r.spec)
 def test_ratfun_canonical_idempotent_and_equality_deciding(base, rng):
     field = RatFun(base)
 
