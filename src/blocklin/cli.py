@@ -6,11 +6,11 @@ enters only through explicit --seed flags feeding a 64-bit-seeded
 deterministic generator (mt19937), which is recorded in generated file
 headers.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 singular input, 4 pivot-block failure, 5 invertible input that block
-pivoting cannot factor (RandomnessExhausted: some node has all four
-half-size blocks singular), 6 internal error (an unexpected exception,
-reported as one ``error:`` line instead of a traceback).
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error or
+an unreadable path (OSError), 3 singular input, 4 pivot-block failure,
+5 invertible input that block pivoting cannot factor (RandomnessExhausted:
+some node has all four half-size blocks singular), 6 internal error (an
+unexpected exception, reported as one ``error:`` line, not a traceback).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .inversion import (
     invert_gram_gv,
     invert_gram_star,
     invert_gram_transpose,
+    is_invertible,
     schur_invert,
 )
 from .lu import ldu as ldu_factor
@@ -126,13 +127,11 @@ def _cmd_gen(args) -> int:
         dense = bm.to_dense(block)
         comments.append("all four half-size blocks singular; determinant nonzero")
     elif args.invertible:
-        # the identity-summand embedding preserves invertibility, so the
-        # same block-level check covers every size
-        from .inversion import is_invertible
-
+        # decided on the draw itself: the identity-summand embedding that
+        # invert and lu apply later preserves invertibility
         for _ in range(500):
             dense = sampling.random_dense(ring, n, rng)
-            if is_invertible(bm.embed(dense) if n & (n - 1) else bm.from_dense(dense)):
+            if is_invertible(dense):
                 break
         else:
             print("error: no invertible draw found", file=sys.stderr)
@@ -387,7 +386,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except (MatrixFormatError, FileNotFoundError) as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularMatrix, GramSingular) as exc:

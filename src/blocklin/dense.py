@@ -71,11 +71,7 @@ def gauss_jordan_inverse(m: DenseMatrix) -> DenseMatrix | None:
     a = [list(row) for row in m.rows]
     inv = [list(row) for row in dense_identity(n, m.ring).rows]
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
         if pivot_row is None:
             return None
         a[col], a[pivot_row] = a[pivot_row], a[col]
@@ -94,6 +90,31 @@ def gauss_jordan_inverse(m: DenseMatrix) -> DenseMatrix | None:
     return DenseMatrix(n, inv, m.ring)
 
 
+def forward_pivots(m: DenseMatrix) -> list:
+    """Forward elimination of m's rows: ``(pivot, swapped)`` per column, up
+    to the first column without a pivot, so m is invertible exactly when all
+    n are found.  Row r loses ``a[r][col] * pivot^-1`` times the pivot row, a
+    left row operation, which is sound over the quaternions as well.
+    """
+    n = m.n
+    a = [list(row) for row in m.rows]
+    pivots = []
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if pivot_row is None:
+            break
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        pivot = a[col][col]
+        pivots.append((pivot, pivot_row != col))
+        pivot_inv = pivot.try_invert()
+        for r in range(col + 1, n):
+            if a[r][col].is_zero():
+                continue
+            factor = a[r][col] * pivot_inv
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return pivots
+
+
 def dense_determinant(m: DenseMatrix):
     """Determinant by fraction-producing Gaussian elimination.
 
@@ -101,26 +122,10 @@ def dense_determinant(m: DenseMatrix):
     """
     if not m.ring.commutative:
         raise ValueError("determinant needs a commutative ring")
-    n = m.n
-    a = [list(row) for row in m.rows]
+    pivots = forward_pivots(m)
+    if len(pivots) < m.n:
+        return m.ring.zero()
     det = m.ring.one()
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return m.ring.zero()
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        pivot = a[col][col]
-        det = det * pivot
-        pivot_inv = pivot.try_invert()
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            factor = a[r][col] * pivot_inv
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    for pivot, swapped in pivots:
+        det = -det * pivot if swapped else det * pivot
     return det

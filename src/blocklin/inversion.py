@@ -40,7 +40,7 @@ from .errors import (
     SingularMatrix,
 )
 from .cyclotomic import lift_field
-from .dense import dense_determinant
+from .dense import DenseMatrix, forward_pivots
 from .rings import QQ, RatFun
 
 __all__ = [
@@ -332,17 +332,12 @@ def auto_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix
     return result
 
 
-def is_invertible(m: BlockMatrix) -> bool:
-    """Whether m has an inverse; all counts are discarded.
+def is_invertible(m: BlockMatrix | DenseMatrix) -> bool:
+    """Whether m, a block or a dense matrix, has an inverse.
 
-    Decided by auto_invert.  Where the ring has no Gram driver (rational
-    functions over a prime field) and the Schur recursion fails, a dense
-    determinant decides instead.
+    Decided by one forward elimination of its rows, not by a block
+    inverter; left row operations decide it over any division ring, the
+    quaternions included.  No counter sees this work.
     """
-    try:
-        auto_invert(m, OpCounter())
-    except SingularMatrix:
-        return False
-    except PivotBlockSingular:
-        return not dense_determinant(bm.to_dense(m)).is_zero()
-    return True
+    dense = m if isinstance(m, DenseMatrix) else bm.to_dense(m)
+    return len(forward_pivots(dense)) == dense.n

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from blocklin import QQ, cli, dense_determinant, from_dense
@@ -22,6 +24,42 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert run("gen", "--ring", "gf:7", "--size", "8", "--seed", "4", "-o", str(b)) == 0
     assert a.read_bytes() != b.read_bytes()
+
+
+# SHA-256 of `gen --invertible` output per seed.  Whether a draw is kept is
+# an exact decision, so these bytes hold for any correct is_invertible and
+# pin the whole sequence of accepted and rejected draws
+GEN_INVERTIBLE_SHA256 = [
+    ("q", 6, 1, "a792aa2e8419f709c459531c21b47e0a297371171347f2b80c0e808868e81413"),
+    ("q", 6, 2, "ef56774009805c3e3f2d694cf838dfda0112a1764b5ede82502e6ff7cc08e47d"),
+    ("q", 6, 3, "da04c7cd0c1267eb221f8bdf07bbf5b44defb0e4fffef5681617ebaf59a381f9"),
+    ("q", 12, 1, "98042cd6ca81d20a34332764b31086b99b23c0b785c79af84be097858efbd9ac"),
+    ("q", 12, 2, "3d743afe038ca3ed864f8d7e89170b4dcff2ed0f9d9b0af7d1227c630eb4d404"),
+    ("q", 12, 3, "91db21355b763c8bfd15f579b4442a6df535a759df18f2d5e5ee6b352f9c7667"),
+    ("gf:2", 8, 1, "a484d92ec6959cd998e0520fe88716c0c130e9259a377b0734d93a21dd281a61"),
+    ("gf:2", 8, 2, "9bf5ed659b618f570cdbaeefa0457e689e854794b2bbdf77ebfffe63ece2878c"),
+    ("gf:2", 8, 3, "0c014e82011c64008dd8ea919a17ebfa6046c7ec4180cdadb2c6a7be770a0efc"),
+    ("gf:7", 6, 1, "4869385d219ba1897701dc61a45fc10debf0f4af78dc6d19b5733457b447e901"),
+    ("gf:7", 6, 2, "a2e8a32d53917a6e0e7af264199babdbfd7b9cfb36acf7f3a1cbaa3620c5dfde"),
+    ("gf:7", 6, 3, "4938d9f89d1c64f463dbc58431ae5b0483681c4a2bd145a43f0b6ba7db678cea"),
+    ("qi", 4, 1, "6e96cb68c692e900c6740505db52edbc00e587e1d86617825efb2f54be840b53"),
+    ("qi", 4, 2, "2cf56714197193d68cfceee69ba623138ea591861b1b0434072a889bf6d33a3d"),
+    ("qi", 4, 3, "f900917eb760c469f552be65300db55d88c2a30b05cd4057400e71011e8a8070"),
+    ("quat", 4, 1, "f29c5181af27a6be7091612efba446b50355d8aaa4fdf5e814fd60fa4ee4d249"),
+    ("quat", 4, 2, "7edf8d21771f575b5fab6b1b0b9a5aa54f2f5a1147dc373890f1556071c6e809"),
+    ("quat", 4, 3, "0418562b409e0b4b07ef5a2918c633712711aded3d54a0f19b5fc44ac3ae33c5"),
+    ("ratfun:gf:7", 2, 1, "c25213bc2491650ec8a33b8bf0150882df7c12dcd307e9a9a7c5ce9c9766d770"),
+    ("ratfun:gf:7", 2, 2, "8eacd24b9253a6d5c295aac15ff9e07aa87332e09000e2e34220fbf74da9aad8"),
+    ("ratfun:gf:7", 2, 3, "06a92eeb281a8bf7ae269615fc079c8ec7aadddc840bf1d65384a0b9c99e4f14"),
+]
+
+
+@pytest.mark.parametrize("ring,size,seed,digest", GEN_INVERTIBLE_SHA256)
+def test_gen_invertible_output_is_pinned(tmp_path, ring, size, seed, digest):
+    out = tmp_path / "m.mat"
+    assert run("gen", "--ring", ring, "--size", str(size), "--seed", str(seed),
+               "--invertible", "-o", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gen_invert_check_pipeline(tmp_path):
@@ -234,8 +272,12 @@ def test_unreadable_inputs_exit_usage(tmp_path, capsys):
     assert run("invert", str(nested)) == 2
     assert run("invert", str(binary)) == 2
     assert run("check", "--kind", "pluq", str(good), str(good), str(good), str(perms)) == 2
+    # a directory is an unreadable path too, not an internal error
+    assert run("invert", str(tmp_path)) == 2
+    assert run("check", "--kind", "inverse", str(good), str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 3 and "Traceback" not in err
+    assert err.count("error:") == 5 and "Traceback" not in err
+    assert "internal error" not in err
 
 
 def test_unexpected_error_exits_internal(tmp_path, monkeypatch, capsys):

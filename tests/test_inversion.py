@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -31,15 +32,17 @@ from blocklin import (
     transpose,
     zero_matrix,
 )
+from blocklin import cli, inversion
 from blocklin.complexity import (
     closed_form_T_inv,
     recurrence_T_hermitian,
     recurrence_T_inv,
 )
 from blocklin.dense import dense_determinant
-from blocklin.sampling import random_dense, random_matrix
+from blocklin.rings import ring_from_spec
+from blocklin.sampling import random_all_blocks_singular, random_dense, random_matrix
 
-from conftest import grid, ring_dense, ring_mat, witness_all_blocks_singular
+from conftest import grid, ring_dense, ring_mat, stable_seed, witness_all_blocks_singular
 
 
 def random_invertible_dense(ring, n, rng):
@@ -336,8 +339,8 @@ def test_is_invertible_examples():
 
 
 def test_is_invertible_over_ratfun_prime_field():
-    # no Gram driver exists for this ring, so a failed Schur attempt is
-    # settled by a determinant instead of escaping as PivotBlockSingular
+    # no Gram driver exists for this ring, so auto_invert cannot decide
+    # these; the elimination in is_invertible needs none
     ring = RatFun(GF(7))
     zero, one, t = ring.zero(), ring.one(), ring.t_power(1)
 
@@ -347,3 +350,92 @@ def test_is_invertible_over_ratfun_prime_field():
     assert is_invertible(block([[zero, one], [one, zero]]))
     assert not is_invertible(block([[one, t], [one, t]]))
     assert not is_invertible(block([[zero, t], [zero, one]]))
+
+
+# -- is_invertible against the block route it replaced ---------------------------
+
+
+def block_route_decides(m):
+    """Invertibility as auto_invert decides it: an inverse or SingularMatrix."""
+    try:
+        auto_invert(m)
+    except SingularMatrix:
+        return False
+    return True
+
+
+def left_dependent(ring, n, rng):
+    """Seeded n x n matrix with one row a left multiple of another (zero at n=1).
+
+    Row i = c * row j entrywise is undone by the left row operation
+    row i - c * row j, so the matrix is singular over the quaternions too.
+    """
+    rows = random_dense(ring, n, rng).rows
+    if n == 1:
+        rows = [[ring.zero()]]
+    else:
+        i, j = rng.sample(range(n), 2)
+        c = ring.random_element(rng)
+        rows[i] = [c * x for x in rows[j]]
+    return from_dense(DenseMatrix(n, rows, ring))
+
+
+def decision_inputs(ring, n, rng):
+    depth = n.bit_length() - 1
+    inputs = [random_matrix(ring, depth, rng) for _ in range(3)]
+    inputs.append(left_dependent(ring, n, rng))
+    if ring.commutative and n >= 4:
+        inputs.append(random_all_blocks_singular(ring, depth, rng))
+    return inputs
+
+
+@pytest.mark.parametrize("spec", ["q", "qi", "quat", "gf:2", "gf:7", "ratfun:q"])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_is_invertible_matches_block_route(spec, n):
+    ring = ring_from_spec(spec)
+    rng = random.Random(stable_seed("is_invertible", spec, n))
+    if spec == "ratfun:q" and n == 8:
+        # K(t) with non-constant entries takes 10 s and more per block
+        # inversion at n=8, so the draws there are constant (lifted) ones
+        inputs = [lift_to_ratfun(m) for m in decision_inputs(QQ, n, rng)]
+    else:
+        inputs = decision_inputs(ring, n, rng)
+    decisions = [is_invertible(m) for m in inputs]
+    assert decisions == [block_route_decides(m) for m in inputs]
+    assert decisions[-1] is (n >= 4 and ring.commutative)
+    assert not decisions[3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_is_invertible_matches_gauss_jordan_over_ratfun_prime_field(n):
+    # auto_invert has no Gram driver here; Gauss-Jordan is a separate
+    # elimination loop from the one is_invertible shares with the determinant
+    ring = RatFun(GF(7))
+    rng = random.Random(stable_seed("is_invertible", ring.spec, n))
+    inputs = decision_inputs(ring, n, rng)
+    decisions = [is_invertible(m) for m in inputs]
+    assert decisions == [gauss_jordan_inverse(to_dense(m)) is not None for m in inputs]
+    assert not decisions[3]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_invertible_every_2x2_over_small_fields(p):
+    ring = GF(p)
+    for entries in itertools.product(range(p), repeat=4):
+        m = ring_mat(ring, [list(entries[:2]), list(entries[2:])])
+        assert is_invertible(m) is block_route_decides(m), entries
+
+
+def test_is_invertible_runs_no_block_inversion(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("block inversion inside is_invertible")
+
+    for name in ("auto_invert", "schur_invert", "invert_gram_transpose",
+                 "invert_gram_star", "invert_gram_gv"):
+        monkeypatch.setattr(inversion, name, refuse)
+    assert is_invertible(witness_all_blocks_singular())
+    assert is_invertible(identity(3, GF(7)))
+    assert not is_invertible(zero_matrix(2, QQ))
+    out = tmp_path / "m.mat"
+    assert cli.main(["gen", "--ring", "q", "--size", "6", "--seed", "1",
+                     "--invertible", "-o", str(out)]) == 0
