@@ -21,24 +21,16 @@ import sys
 
 from . import blockmat as bm
 from . import complexity, matio, sampling
-from .dense import DenseMatrix, dense_determinant, dense_identity, dense_mul
+from .dense import DenseMatrix, dense_identity, dense_mul
 from .errors import (
     AllBlocksSingular,
     BlocklinError,
-    GramSingular,
     MatrixFormatError,
     PivotBlockSingular,
     RandomnessExhausted,
     SingularMatrix,
 )
-from .inversion import (
-    auto_invert,
-    invert_gram_gv,
-    invert_gram_star,
-    invert_gram_transpose,
-    is_invertible,
-    schur_invert,
-)
+from .inversion import auto_invert, gram_driver, invert_gram_gv, is_invertible, schur_invert
 from .lu import ldu as ldu_factor
 from .lu import lu_decompose, randomized_lu
 from .rings import ring_from_spec
@@ -79,13 +71,6 @@ def _counter_summary(counter: bm.OpCounter) -> str:
         f"# ops {counter.label or 'run'}: mul={counter.mul_count} div={counter.div_count} "
         f"add={counter.add_count} scaling={counter.scaling_count}"
     )
-
-
-def _to_block(dense: DenseMatrix) -> bm.BlockMatrix:
-    n = dense.n
-    if n & (n - 1):
-        return bm.embed(dense)
-    return bm.from_dense(dense)
 
 
 def _project_like(block: bm.BlockMatrix, n: int) -> DenseMatrix:
@@ -149,7 +134,7 @@ def _cmd_mul(args) -> int:
         print("error: operands must share ring and size", file=sys.stderr)
         return EXIT_USAGE
     counter = bm.OpCounter(label="mul")
-    product = bm.mul(_to_block(left), _to_block(right), counter, strategy=args.strategy)
+    product = bm.mul(bm.embed(left), bm.embed(right), counter, strategy=args.strategy)
     _write_text(args.output, matio.format_matrix(_project_like(product, left.n)))
     print(_counter_summary(counter), file=sys.stderr)
     return EXIT_OK
@@ -163,20 +148,13 @@ _METHODS = {
 }
 
 
-def _gram_for_spec(spec: str):
-    if spec in ("q", "ratfun:q"):
-        return invert_gram_transpose
-    if spec in ("qi", "quat"):
-        return invert_gram_star
-    return None
-
-
 def _cmd_invert(args) -> int:
     dense = _load(args.input)
     spec = dense.ring.spec
     if args.method == "gram":
-        fn = _gram_for_spec(spec)
-        if fn is None:
+        # the lift is method gv, not gram
+        fn = gram_driver(dense.ring)
+        if fn is None or fn is invert_gram_gv:
             print(f"error: method gram is not applicable to ring {spec}", file=sys.stderr)
             return EXIT_USAGE
     elif args.method == "gv":
@@ -187,7 +165,7 @@ def _cmd_invert(args) -> int:
     else:
         fn = _METHODS[args.method][1]
     counter = bm.OpCounter(label=f"invert-{args.method}")
-    result = fn(_to_block(dense), counter)
+    result = fn(bm.embed(dense), counter)
     _write_text(args.output, matio.format_matrix(_project_like(result, dense.n)))
     print(_counter_summary(counter), file=sys.stderr)
     return EXIT_OK
@@ -195,7 +173,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_lu(args) -> int:
     dense = _load(args.input)
-    block = _to_block(dense)
+    block = bm.embed(dense)
     counter = bm.OpCounter(label="lu")
     if args.randomized:
         low, up = randomized_lu(block, counter)
@@ -217,8 +195,11 @@ def _cmd_lu(args) -> int:
 
 def _cmd_ldu(args) -> int:
     dense = _load(args.input)
+    if dense.n < 2:
+        print("error: ldu needs a matrix of size >= 2", file=sys.stderr)
+        return EXIT_USAGE
     counter = bm.OpCounter(label="ldu")
-    lb, db, ub = ldu_factor(_to_block(dense), counter)
+    lb, db, ub = ldu_factor(bm.embed(dense), counter)
     prefix = args.out_prefix
     _write_text(f"{prefix}.Lb.mat", matio.format_matrix(bm.to_dense(lb)))
     _write_text(f"{prefix}.Db.mat", matio.format_matrix(bm.to_dense(db)))
@@ -272,7 +253,7 @@ def _cmd_check(args) -> int:
     if args.kind == "pluq":
         m, low, up = (_load(p) for p in args.files[:3])
         pvec, qvec = matio.parse_permutations(_read_text(args.files[3]))
-        embedded = bm.to_dense(_to_block(m))
+        embedded = bm.to_dense(bm.embed(m))
         n = embedded.n
         if _inputs_disagree(m, [low, up], n, (pvec, qvec)):
             return EXIT_USAGE
@@ -286,7 +267,7 @@ def _cmd_check(args) -> int:
         print("check pluq ok")
         return EXIT_OK
     m, lb, db, ub = (_load(p) for p in args.files[:4])
-    embedded = bm.to_dense(_to_block(m))
+    embedded = bm.to_dense(bm.embed(m))
     if _inputs_disagree(m, [lb, db, ub], embedded.n):
         return EXIT_USAGE
     product = dense_mul(dense_mul(lb, db), ub)
@@ -303,7 +284,11 @@ def _cmd_verify_counts(args) -> int:
     except ValueError:
         print("error: --sizes wants a comma-separated list of integers", file=sys.stderr)
         return EXIT_USAGE
-    reports = complexity.verify_counts(args.op, sizes, seed=args.seed)
+    try:
+        reports = complexity.verify_counts(args.op, sizes, seed=args.seed)
+    except ValueError as exc:  # a size above the cap
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.machine:
         sys.stdout.write(complexity.render_machine(reports))
     else:
@@ -389,7 +374,7 @@ def main(argv=None) -> int:
     except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularMatrix, GramSingular) as exc:
+    except SingularMatrix as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (PivotBlockSingular, AllBlocksSingular) as exc:

@@ -26,10 +26,10 @@ from functools import lru_cache
 from . import blockmat as bm
 from . import lu as lu_mod
 from .blockmat import OpCounter
-from .dense import dense_determinant
 from .errors import NonPowerOfTwo
 from .inversion import invert_gram_transpose
 from .rings import QQ
+from .sampling import random_invertible, random_triangular
 
 __all__ = [
     "CostModel",
@@ -168,64 +168,46 @@ def recurrence_T_times(n: int, model: CostModel = NAIVE) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rec_inv(n: int, strategy: str) -> int:
-    model = CostModel(strategy)
-    if n == 1:
-        return 1
-    h = n // 2
-    return 2 * model.t_times(n) + 2 * _rec_inv(h, strategy) + 4 * model.t_times(h)
-
-
 def recurrence_T_inv(n: int, model: CostModel = NAIVE) -> int:
     """T(n) = 2*T_x(n) + 2*T(n/2) + 4*T_x(n/2), T(1) = 1."""
     _check_power_of_two(n)
-    return _rec_inv(n, model.strategy)
-
-
-@lru_cache(maxsize=None)
-def _rec_hermitian(n: int, strategy: str) -> int:
-    model = CostModel(strategy)
     if n == 1:
         return 1
     h = n // 2
-    return 2 * _rec_hermitian(h, strategy) + 4 * model.t_times(h)
+    return 2 * model.t_times(n) + 2 * recurrence_T_inv(h, model) + 4 * model.t_times(h)
 
 
+@lru_cache(maxsize=None)
 def recurrence_T_hermitian(n: int, model: CostModel = NAIVE) -> int:
     """Self-adjoint core alone: T(n) = 2*T(n/2) + 4*T_x(n/2), T(1) = 1."""
     _check_power_of_two(n)
-    return _rec_hermitian(n, model.strategy)
-
-
-@lru_cache(maxsize=None)
-def _rec_trimul(n: int, strategy: str) -> int:
-    model = CostModel(strategy)
     if n == 1:
         return 1
     h = n // 2
-    return 4 * _rec_trimul(h, strategy) + 2 * model.t_times(h)
+    return 2 * recurrence_T_hermitian(h, model) + 4 * model.t_times(h)
 
 
+@lru_cache(maxsize=None)
 def recurrence_T_trimul(n: int, model: CostModel = NAIVE) -> int:
     """T(n) = 4*T(n/2) + 2*T_x(n/2), T(1) = 1."""
     _check_power_of_two(n)
-    return _rec_trimul(n, model.strategy)
-
-
-@lru_cache(maxsize=None)
-def _rec_triinv(n: int, strategy: str) -> int:
     if n == 1:
         return 1
     h = n // 2
-    return 2 * _rec_triinv(h, strategy) + 2 * _rec_trimul(h, strategy)
+    return 4 * recurrence_T_trimul(h, model) + 2 * model.t_times(h)
 
 
+@lru_cache(maxsize=None)
 def recurrence_T_triinv(n: int, model: CostModel = NAIVE) -> int:
     """T(n) = 2*T(n/2) + 2*T_trimul(n/2), T(1) = 1 (one leaf division)."""
     _check_power_of_two(n)
-    return _rec_triinv(n, model.strategy)
+    if n == 1:
+        return 1
+    h = n // 2
+    return 2 * recurrence_T_triinv(h, model) + 2 * recurrence_T_trimul(h, model)
 
 
+@lru_cache(maxsize=None)
 def recurrence_T_lu(n: int, model: CostModel = NAIVE, *, leaf_cost: int = 0) -> int:
     """T(n) = 2*T(n/2) + 2*T_triinv(n/2) + T_x(n/2) + 2*T_trimul(n/2).
 
@@ -238,9 +220,9 @@ def recurrence_T_lu(n: int, model: CostModel = NAIVE, *, leaf_cost: int = 0) -> 
     h = n // 2
     return (
         2 * recurrence_T_lu(h, model, leaf_cost=leaf_cost)
-        + 2 * _rec_triinv(h, model.strategy)
+        + 2 * recurrence_T_triinv(h, model)
         + model.t_times(h)
-        + 2 * _rec_trimul(h, model.strategy)
+        + 2 * recurrence_T_trimul(h, model)
     )
 
 
@@ -278,44 +260,29 @@ _LU_NOTE = (
 )
 
 
-def _random_invertible_qq(n: int, rng: random.Random) -> bm.BlockMatrix:
-    from .sampling import random_dense
-
-    while True:
-        dense = random_dense(QQ, n, rng)
-        if not dense_determinant(dense).is_zero():
-            return bm.from_dense(dense)
-
-
-def _random_lower(n, rng, unit=False):
-    from .sampling import random_triangular
-
-    depth = n.bit_length() - 1
-    return random_triangular(QQ, depth, rng, lu_mod.LOWER, unit_diagonal=unit)
-
-
 def _measure(op: str, n: int, rng: random.Random) -> tuple[OpCounter, int, Fraction | None, str]:
     counter = OpCounter(label=op)
+    depth = n.bit_length() - 1
     if op == "mul":
-        x = _random_invertible_qq(n, rng)
-        y = _random_invertible_qq(n, rng)
+        x = random_invertible(QQ, depth, rng)
+        y = random_invertible(QQ, depth, rng)
         bm.mul(x, y, counter)
         return counter, recurrence_T_times(n), Fraction(NAIVE.t_times(n)), ""
     if op == "tri_mul":
-        tm = _random_lower(n, rng)
-        g = _random_invertible_qq(n, rng)
+        tm = random_triangular(QQ, depth, rng)
+        g = random_invertible(QQ, depth, rng)
         lu_mod.tri_mul(tm, g, "left", counter)
         return counter, recurrence_T_trimul(n), closed_form_T_trimul(n), ""
     if op == "tri_inv":
-        tm = _random_lower(n, rng)
+        tm = random_triangular(QQ, depth, rng)
         lu_mod.tri_invert(tm, counter)
         return counter, recurrence_T_triinv(n), Fraction(closed_form_T_triinv(n)), _TRIINV_NOTE
     if op == "gram_inv":
-        x = _random_invertible_qq(n, rng)
+        x = random_invertible(QQ, depth, rng)
         invert_gram_transpose(x, counter)
         return counter, recurrence_T_inv(n), closed_form_T_inv(n), ""
     if op == "lu":
-        x = _random_invertible_qq(n, rng)
+        x = random_invertible(QQ, depth, rng)
         lu_mod.lu_decompose(x, counter)
         note = _LU_NOTE + str(closed_form_T_triinv(n))
         return counter, recurrence_T_lu(n, leaf_cost=0), closed_form_T_lu(n), note

@@ -20,12 +20,6 @@ class DenseMatrix:
         self.rows = [list(r) for r in rows]
         self.ring = ring
 
-    def get(self, i, j):
-        return self.rows[i][j]
-
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.n, self.rows, self.ring)
-
     def __eq__(self, other):
         return (
             isinstance(other, DenseMatrix)

@@ -33,12 +33,16 @@ class PivotBlockSingular(BlocklinError):
         super().__init__(f"pivot block singular at node {'/'.join(self.path) or '<root>'}")
 
 
-class GramSingular(BlocklinError):
-    """A self-adjoint matrix handed to the symmetric inverter is singular."""
-
-
 class SingularMatrix(BlocklinError):
     """The input matrix has no inverse."""
+
+
+class GramSingular(SingularMatrix):
+    """A self-adjoint matrix handed to the symmetric inverter is singular.
+
+    A Gram driver raises it for singular input: the Gram matrix of M is
+    singular exactly when M is.
+    """
 
 
 class NonConstantResidue(BlocklinError):

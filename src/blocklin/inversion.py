@@ -33,12 +33,7 @@ from dataclasses import dataclass
 
 from . import blockmat as bm
 from .blockmat import BlockMatrix, OpCounter
-from .errors import (
-    GramSingular,
-    NonConstantResidue,
-    PivotBlockSingular,
-    SingularMatrix,
-)
+from .errors import GramSingular, NonConstantResidue, PivotBlockSingular
 from .cyclotomic import lift_field
 from .dense import DenseMatrix, forward_pivots
 from .rings import QQ, RatFun
@@ -47,11 +42,13 @@ __all__ = [
     "ConjugationKind",
     "GramMatrix",
     "schur_invert",
+    "schur_step",
     "hermitian_invert",
     "invert_gram_transpose",
     "invert_gram_star",
     "invert_gram_gv",
     "auto_invert",
+    "gram_driver",
     "is_invertible",
     "lift_to_ratfun",
     "project_to_base",
@@ -105,14 +102,19 @@ def _zero_pivot(path):
     return GramSingular(f"zero pivot at node {'/'.join(path) or '<root>'}")
 
 
+def schur_step(a_inv, b, c, d, counter):
+    """One block elimination: (C A^-1, A^-1 B, D - C A^-1 B), three products."""
+    c_ainv = bm.mul(c, a_inv, counter)
+    ainv_b = bm.mul(a_inv, b, counter)
+    return c_ainv, ainv_b, bm.sub(d, bm.mul(c_ainv, b, counter), counter)
+
+
 def _schur(m, counter, path):
     if m.is_leaf:
         return _invert_leaf(m, counter, path, PivotBlockSingular)
     a, b, c, d = m.blocks
     a_inv = _schur(a, counter, path + ("A",))
-    c_ainv = bm.mul(c, a_inv, counter)
-    ainv_b = bm.mul(a_inv, b, counter)
-    complement = bm.sub(d, bm.mul(c_ainv, b, counter), counter)
+    c_ainv, ainv_b, complement = schur_step(a_inv, b, c, d, counter)
     s_inv = _schur(complement, counter, path + ("S",))
     ainvb_sinv = bm.mul(ainv_b, s_inv, counter)
     top_left = bm.add(a_inv, bm.mul(ainvb_sinv, c_ainv, counter), counter)
@@ -203,10 +205,7 @@ def invert_gram_transpose(m: BlockMatrix, counter: OpCounter | None = None) -> B
         )
         return bm.mul(gram_inv, xt, counter)
 
-    try:
-        return driver(m, ())
-    except GramSingular as exc:
-        raise SingularMatrix(str(exc)) from None
+    return driver(m, ())
 
 
 def invert_gram_star(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:
@@ -218,10 +217,7 @@ def invert_gram_star(m: BlockMatrix, counter: OpCounter | None = None) -> BlockM
     counter = counter if counter is not None else OpCounter()
     madj = bm.adjoint(m)
     gram = GramMatrix(bm.mul(madj, m, counter), ConjugationKind.STAR)
-    try:
-        gram_inv = hermitian_invert(gram, counter)
-    except GramSingular as exc:
-        raise SingularMatrix(str(exc)) from None
+    gram_inv = hermitian_invert(gram, counter)
     return bm.mul(gram_inv, madj, counter)
 
 
@@ -285,10 +281,7 @@ def invert_gram_gv(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMat
     lifted = bm.map_leaves(m, target.lift)
     conj = bm.circ_conjugate(lifted, counter)
     gram = GramMatrix(bm.mul(conj, lifted, counter), ConjugationKind.CIRC)
-    try:
-        gram_inv = hermitian_invert(gram, counter)
-    except GramSingular as exc:
-        raise SingularMatrix(str(exc)) from None
+    gram_inv = hermitian_invert(gram, counter)
     pre_projection = bm.mul(gram_inv, conj, counter)
     return project_to_base(pre_projection, base)
 
@@ -297,7 +290,14 @@ def invert_gram_gv(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMat
 # dispatch
 
 
-def _gram_driver_for(ring):
+def gram_driver(ring):
+    """The Gram driver that inverts over ``ring`` without pivoting, or None.
+
+    Rationals (and rational functions over them) take the transpose driver,
+    Gaussian rationals and quaternions the involution driver, prime fields
+    the base-field lift.  Rational functions over a prime field have none:
+    that would need a second variable.
+    """
     spec = ring.spec
     if spec == "q" or spec == "ratfun:q":
         return invert_gram_transpose
@@ -312,18 +312,15 @@ def auto_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix
     """Invert by the Schur recursion, falling back to the ring's Gram driver.
 
     The fallback fires only on PivotBlockSingular, i.e. when some recursion
-    node had no invertible leading block.  Rationals fall back to the
-    transpose driver, Gaussian rationals and quaternions to the involution
-    driver, prime fields to the base-field lift.  Rational functions over a
-    prime field have no driver here (that would need a second variable), so
-    the pivot failure propagates for them.
+    node had no invertible leading block; it runs :func:`gram_driver` for
+    the ring, and where there is none the pivot failure propagates.
     """
     counter = counter if counter is not None else OpCounter()
     scratch = OpCounter()
     try:
         result = schur_invert(m, scratch)
     except PivotBlockSingular:
-        driver = _gram_driver_for(m.ring)
+        driver = gram_driver(m.ring)
         if driver is None:
             raise
         scratch = OpCounter()

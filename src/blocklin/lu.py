@@ -26,7 +26,7 @@ from .errors import (
     SingularDiagonal,
     SingularMatrix,
 )
-from .inversion import auto_invert, is_invertible
+from .inversion import auto_invert, is_invertible, schur_step
 
 __all__ = [
     "LOWER",
@@ -380,9 +380,7 @@ def ldu(m: BlockMatrix, counter: OpCounter | None = None):
     except (SingularMatrix, PivotBlockSingular):
         raise PivotBlockSingular(("A",)) from None
     counter.merge(scratch)
-    c_ainv = bm.mul(c, a_inv, counter)
-    ainv_b = bm.mul(a_inv, b, counter)
-    complement = bm.sub(d, bm.mul(c_ainv, b, counter), counter)
+    c_ainv, ainv_b, complement = schur_step(a_inv, b, c, d, counter)
     ring = m.ring
     eye = bm.identity(m.depth - 1, ring)
     zero = bm.zero_matrix(m.depth - 1, ring)

@@ -422,18 +422,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def valuation(self) -> int:
-        """Lowest exponent with a nonzero coefficient; 0 for the zero polynomial."""
-        f = self.field
-        for i, c in enumerate(self.coeffs):
-            if not f.raw_is_zero(c):
-                return i
-        return 0
-
-    def _strip(self, k: int) -> "Polynomial":
-        # divide by t**k; caller guarantees valuation >= k
-        return Polynomial(self.coeffs[k:], self.field, trusted=True)
-
     def __add__(self, other):
         f = self.field
         return Polynomial(f.poly_add(self.coeffs, other.coeffs), f)
@@ -615,15 +603,10 @@ def _monic_form(num: Polynomial, den: Polynomial) -> RationalFunction:
 def ratfun_reduce(num: Polynomial, den: Polynomial) -> RationalFunction:
     """Canonicalize num/den: cancel the gcd, make the denominator monic.
 
-    Raises ZeroDenominator when den = 0.  The common t-power is cancelled
-    first; it is the dominant case for conjugation-scaled matrices and
-    avoids a full Euclidean run.
+    Raises ZeroDenominator when den = 0.
     """
     if den.is_zero():
         raise ZeroDenominator("rational function with zero denominator")
-    v = min(num.valuation(), den.valuation())
-    if v:
-        num, den = num._strip(v), den._strip(v)
     if den.degree() > 0 and num.degree() > 0:
         g = poly_gcd(num, den)
         if g.degree() > 0:
@@ -664,6 +647,27 @@ def _join_terms(terms):
     for t in terms[1:]:
         out += t if t.startswith("-") else "+" + t
     return out
+
+
+def _parse_units(token: str, units: str) -> list:
+    """Rational coefficients of an ``a+b*u+...`` token, one per unit in
+    ``units`` after the real part.  A term may repeat a unit, omit the ``*``,
+    or omit a coefficient of 1."""
+    parts = dict.fromkeys(["", *units], Fraction(0))
+    for term in _split_terms(token):
+        unit = term[-1] if term[-1] in units else ""
+        coeff = term[:-1] if unit else term
+        if unit and coeff.endswith("*"):
+            coeff = coeff[:-1]
+        parts[unit] += _parse_coefficient(coeff)
+    return [parts[""], *(parts[u] for u in units)]
+
+
+def _format_units(parts, units: str) -> str:
+    """Inverse of :func:`_parse_units`: nonzero parts joined, ``0`` if none."""
+    terms = [str(parts[0])] if parts[0] != 0 else []
+    terms += [f"{c}*{u}" for c, u in zip(parts[1:], units) if c != 0]
+    return _join_terms(terms) if terms else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -929,27 +933,10 @@ class _GaussianRationalField(_Ring):
         return GaussianRational(n)
 
     def parse(self, token):
-        re_part = Fraction(0)
-        im_part = Fraction(0)
-        for term in _split_terms(token):
-            if term.endswith("i"):
-                coeff = term[:-1]
-                if coeff.endswith("*"):
-                    coeff = coeff[:-1]
-                im_part += _parse_coefficient(coeff)
-            else:
-                re_part += _parse_coefficient(term)
-        return GaussianRational(re_part, im_part)
+        return GaussianRational(*_parse_units(token, "i"))
 
     def format(self, x):
-        terms = []
-        if x.re != 0:
-            terms.append(str(x.re))
-        if x.im != 0:
-            terms.append(f"{x.im}*i")
-        if not terms:
-            return "0"
-        return _join_terms(terms)
+        return _format_units((x.re, x.im), "i")
 
     def random_element(self, rng):
         return GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
@@ -962,8 +949,6 @@ class _QuaternionRing(_Ring):
     spec = "quat"
     commutative = False
 
-    _units = ("i", "j", "k")
-
     def zero(self):
         return Quaternion()
 
@@ -974,25 +959,10 @@ class _QuaternionRing(_Ring):
         return Quaternion(n)
 
     def parse(self, token):
-        parts = {"": Fraction(0), "i": Fraction(0), "j": Fraction(0), "k": Fraction(0)}
-        for term in _split_terms(token):
-            unit = term[-1] if term[-1] in self._units else ""
-            coeff = term[: -1] if unit else term
-            if unit and coeff.endswith("*"):
-                coeff = coeff[:-1]
-            parts[unit] += _parse_coefficient(coeff)
-        return Quaternion(parts[""], parts["i"], parts["j"], parts["k"])
+        return Quaternion(*_parse_units(token, "ijk"))
 
     def format(self, x):
-        terms = []
-        if x.a != 0:
-            terms.append(str(x.a))
-        for coeff, unit in ((x.b, "i"), (x.c, "j"), (x.d, "k")):
-            if coeff != 0:
-                terms.append(f"{coeff}*{unit}")
-        if not terms:
-            return "0"
-        return _join_terms(terms)
+        return _format_units((x.a, x.b, x.c, x.d), "ijk")
 
     def random_element(self, rng):
         return Quaternion(*(rng.randint(-5, 5) for _ in range(4)))

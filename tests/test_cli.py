@@ -318,6 +318,18 @@ def test_verify_counts_command(capsys):
     assert "division-only" in out
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys):
     assert run("nonsense") == 2
     assert run("verify-counts", "--op", "mul", "--sizes", "x") == 2
+    # out-of-range input is a usage error, not an internal one
+    one = tmp_path / "one.mat"
+    one.write_text("ring q\nsize 1\n3/4\n")
+    capsys.readouterr()
+    assert run("ldu", str(one), "--out-prefix", str(tmp_path / "one")) == 2
+    assert run("verify-counts", "--op", "mul", "--sizes", "128") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == [one]
+    assert err.splitlines() == [
+        "error: ldu needs a matrix of size >= 2",
+        "error: sizes are capped at 64",
+    ]

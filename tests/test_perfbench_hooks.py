@@ -1,0 +1,41 @@
+"""The benchmark's tracer reaches into the package by name; these are its hooks.
+
+``perfbench/tracing.py`` rebinds every function named in its ``TRACED`` map
+and the functions held in ``cli._METHODS`` tuples.  A refactor that renames
+one of them, or stores a method in another shape, silently stops the
+benchmark from seeing it, so the hooks are checked here.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from blocklin import cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    traced = _load_tracing().TRACED
+    assert traced
+    for module_name, attr in traced.values():
+        assert inspect.isfunction(getattr(importlib.import_module(module_name), attr)), (
+            module_name,
+            attr,
+        )
+
+
+def test_dispatched_methods_are_label_function_tuples():
+    for method in ("auto", "schur"):
+        entry = cli._METHODS[method]
+        assert isinstance(entry, tuple) and len(entry) == 2
+        label, fn = entry
+        assert isinstance(label, str) and inspect.isfunction(fn)

@@ -315,6 +315,10 @@ def test_lenient_parse_forms():
     assert QQ_I.parse("-i") == GaussianRational(0, -1)
     assert QUAT.parse("j+k") == Quaternion(0, 0, 1, 1)
     assert RatFun(QQ).parse("(t^2)") == RatFun(QQ).t_power(2)
+    assert QQ_I.parse("i+2*i") == GaussianRational(0, 3)
+    assert QQ_I.parse("2i") == GaussianRational(0, 2)
+    assert QUAT.parse("k-k") == QUAT.zero()
+    assert QUAT.parse("*i") == Quaternion(0, 1, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -324,6 +328,9 @@ def test_lenient_parse_forms():
         ("q", "a"),
         ("gf:7", "x"),
         ("qi", "1+2*q"),
+        ("qi", "3j"),
+        ("qi", "1/2*k"),
+        ("quat", "2*"),
         ("ratfun:q", "(1+t"),
         ("ratfun:q", "(1)/(0)...oops"),
     ],
