@@ -50,7 +50,6 @@ from .lu import (
     LOWER,
     UPPER,
     LUResult,
-    PermutationTrace,
     TriangularMatrix,
     apply_permutation,
     block_pivot,

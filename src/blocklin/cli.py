@@ -23,7 +23,6 @@ from . import blockmat as bm
 from . import complexity, matio, sampling
 from .dense import DenseMatrix, dense_identity, dense_mul
 from .errors import (
-    AllBlocksSingular,
     BlocklinError,
     MatrixFormatError,
     PivotBlockSingular,
@@ -377,7 +376,7 @@ def main(argv=None) -> int:
     except SingularMatrix as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (PivotBlockSingular, AllBlocksSingular) as exc:
+    except PivotBlockSingular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIVOT
     except RandomnessExhausted as exc:

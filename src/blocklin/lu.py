@@ -1,9 +1,11 @@
 """Recursive block triangular decomposition.
 
-The factorization produced here is M = P * L * U * Q with block-swap
-permutations P and Q, unit-lower-triangular L, and upper-triangular U.
-Nothing in this module reads or writes a matrix row: pivoting swaps whole
-blocks, and a block is accepted as the leading block by factoring it.
+The factorization produced here is M = P * L * U * Q with unit-lower-
+triangular L, upper-triangular U, and permutations P and Q stored as
+vectors of nested block swaps: each half of a vector draws from one half of
+the indices, recursively.  Pivoting swaps whole blocks, and a block is
+accepted as the leading block by factoring it.  Rows are read only by
+:func:`is_invertible`, on the failure paths.
 
 Triangular matrices carry structural zero blocks (the whole upper-right or
 lower-left quadrant, recursively), so the specialized kernels
@@ -32,7 +34,6 @@ __all__ = [
     "LOWER",
     "UPPER",
     "TriangularMatrix",
-    "PermutationTrace",
     "LUResult",
     "block_pivot",
     "tri_mul",
@@ -96,116 +97,54 @@ class TriangularMatrix:
         return walk(self.body)
 
 
-class PermutationTrace:
-    """Recursive record of the block swaps applied at each quadtree node.
-
-    The node swap exchanges the two half-size block rows (or columns); the
-    two children record the permutations of the leading-block and
-    Schur-complement subproblems.  Application order is children first,
-    then the node swap, matching the product P = T_swap * diag(P_A, P_S).
-    Every recorded swap is an involution.  ``children=None`` denotes an
-    identity subtree.
-    """
-
-    __slots__ = ("depth", "swap", "children")
-
-    def __init__(self, depth: int, swap: bool = False, children=None):
-        if depth == 0 and (swap or children):
-            raise ValueError("a 1x1 matrix admits no swaps")
-        if children is not None:
-            first, second = children
-            if first.depth != depth - 1 or second.depth != depth - 1:
-                raise DepthMismatch("trace children must have depth - 1")
-        self.depth = depth
-        self.swap = swap
-        self.children = children
-
-    @classmethod
-    def identity(cls, depth: int) -> "PermutationTrace":
-        return cls(depth)
-
-    @property
-    def is_identity(self) -> bool:
-        if self.swap:
-            return False
-        if self.children is None:
-            return True
-        return self.children[0].is_identity and self.children[1].is_identity
-
-    def to_vector(self) -> list[int]:
-        """Source index per position: applying the trace to any matrix puts
-        original row (or column) ``vec[i]`` at position ``i``."""
-        if self.depth == 0:
-            return [0]
-        half = 1 << (self.depth - 1)
-        if self.children is None:
-            top = list(range(half))
-            bottom = list(range(half, 2 * half))
-        else:
-            top = self.children[0].to_vector()
-            bottom = [x + half for x in self.children[1].to_vector()]
-        return bottom + top if self.swap else top + bottom
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PermutationTrace)
-            and self.depth == other.depth
-            and self.to_vector() == other.to_vector()
-        )
-
-    def __repr__(self):
-        return f"PermutationTrace(depth={self.depth}, vector={self.to_vector()})"
-
-
 def apply_permutation(
-    trace: PermutationTrace, m: BlockMatrix, side: str, *, inverse: bool = False
+    vec: tuple[int, ...] | list[int], m: BlockMatrix, side: str, *, inverse: bool = False
 ) -> BlockMatrix:
-    """Apply the recorded block swaps to rows or columns of m.
-
-    Swaps act on whole blocks only.  With ``inverse=True`` the reverse
-    permutation is applied (swap first, then inverted children).
-    """
+    """Put row (or column) ``vec[i]`` of m at position ``i``; with ``inverse``,
+    put row ``i`` at position ``vec[i]``.  Only whole blocks move, so ``vec``
+    must be nested block swaps: each half draws from one half, recursively."""
     if side not in ("rows", "cols"):
         raise ValueError("side must be 'rows' or 'cols'")
-    if trace.depth != m.depth:
-        raise DepthMismatch(f"trace depth {trace.depth} vs matrix depth {m.depth}")
-    return _apply(trace, m, side == "rows", inverse)
+    if len(vec) != m.dimension:
+        raise DepthMismatch(f"permutation length {len(vec)} vs matrix dimension {m.dimension}")
+    if sorted(vec) != list(range(len(vec))):
+        raise ValueError(f"not a permutation: {list(vec)}")
+    if inverse:
+        vec = sorted(range(len(vec)), key=vec.__getitem__)
+    return _apply(tuple(vec), m, side == "rows")
 
 
-def _apply(trace, m, rows, inverse):
-    if m.is_leaf or (not trace.swap and trace.children is None):
+def _apply(vec, m, rows):
+    if vec == tuple(range(len(vec))):
         return m
+    half = len(vec) // 2
+    source = vec[0] // half
+    if any(v // half != source for v in vec[:half]):
+        raise ValueError("permutation is not nested block swaps")
     a, b, c, d = m.blocks
-    if inverse and trace.swap:
-        a, b, c, d = (c, d, a, b) if rows else (b, a, d, c)
-    if trace.children is not None:
-        first, second = trace.children
-        if rows:
-            a = _apply(first, a, rows, inverse)
-            b = _apply(first, b, rows, inverse)
-            c = _apply(second, c, rows, inverse)
-            d = _apply(second, d, rows, inverse)
-        else:
-            a = _apply(first, a, rows, inverse)
-            c = _apply(first, c, rows, inverse)
-            b = _apply(second, b, rows, inverse)
-            d = _apply(second, d, rows, inverse)
-    if not inverse and trace.swap:
-        a, b, c, d = (c, d, a, b) if rows else (b, a, d, c)
-    return BlockMatrix.quad(a, b, c, d)
+    halves = ((a, b), (c, d)) if rows else ((a, c), (b, d))
+    # the top half of vec takes its blocks from half ``source``, the bottom from the other
+    (w, x), (y, z) = (
+        [_apply(tuple(v % half for v in part), block, rows) for block in halves[source ^ k]]
+        for k, part in enumerate((vec[:half], vec[half:]))
+    )
+    return BlockMatrix.quad(w, x, y, z) if rows else BlockMatrix.quad(w, y, x, z)
 
 
 @dataclass(frozen=True)
 class LUResult:
-    """M = P * L * U * Q with L unit lower triangular and U upper."""
+    """M = P * L * U * Q with L unit lower triangular and U upper.
 
-    p: PermutationTrace
+    ``p`` and ``q`` are permutation vectors: M[i][j] = (L*U)[p[i]][q[j]].
+    """
+
+    p: tuple[int, ...]
     l: TriangularMatrix
     u: TriangularMatrix
-    q: PermutationTrace
+    q: tuple[int, ...]
 
     def permutation_vectors(self) -> tuple[list[int], list[int]]:
-        return self.p.to_vector(), self.q.to_vector()
+        return list(self.p), list(self.q)
 
     def reconstruct(self, counter: OpCounter | None = None) -> BlockMatrix:
         product = bm.mul(self.l.body, self.u.body, counter)
@@ -397,11 +336,17 @@ def ldu(m: BlockMatrix, counter: OpCounter | None = None):
 def _leaf_result(scalar) -> LUResult:
     one = scalar.ring.one()
     return LUResult(
-        PermutationTrace.identity(0),
+        (0,),
         TriangularMatrix(BlockMatrix.leaf(one), LOWER, True),
         TriangularMatrix(BlockMatrix.leaf(scalar), UPPER, False),
-        PermutationTrace.identity(0),
+        (0,),
     )
+
+
+def _join(first, second, swap):
+    """P = T_swap * diag(P_first, P_second) as a vector."""
+    bottom = tuple(v + len(first) for v in second)
+    return bottom + first if swap else first + bottom
 
 
 def _node_name(path) -> str:
@@ -449,8 +394,8 @@ def _lu_node(m, counter, pivot, path):
     up = TriangularMatrix(
         BlockMatrix.quad(res_a.u.body, y, zero, res_s.u.body), UPPER, False
     )
-    p = PermutationTrace(m.depth, swap_rows, (res_a.p, res_s.p))
-    q = PermutationTrace(m.depth, swap_cols, (res_a.q, res_s.q))
+    p = _join(res_a.p, res_s.p, swap_rows)
+    q = _join(res_a.q, res_s.q, swap_cols)
     return LUResult(p, low, up, q)
 
 

@@ -232,6 +232,32 @@ def test_check_detects_corruption(tmp_path, capsys):
     assert "failed at entry" in out
 
 
+@pytest.mark.parametrize(
+    "command,kind,factors,tampered,row,message",
+    [
+        ("lu", "pluq", ("L.mat", "U.mat", "perms"), "L.mat", ("3 1", "3 2"),
+         "check pluq failed at entry (2, 2): expected 4, got 2"),
+        ("ldu", "ldu", ("Lb.mat", "Db.mat", "Ub.mat"), "Db.mat", ("0 -2", "0 2"),
+         "check ldu failed at entry (2, 2): expected 4, got 8"),
+    ],
+    ids=["pluq", "ldu"],
+)
+def test_check_reports_tampered_factor(tmp_path, capsys, command, kind, factors, tampered, row, message):
+    m = tmp_path / "m.mat"
+    m.write_text("ring q\nsize 2\n1 2\n3 4\n")
+    prefix = tmp_path / "f"
+    assert run(command, str(m), "--out-prefix", str(prefix)) == 0
+    target = tmp_path / f"f.{tampered}"
+    lines = target.read_text().splitlines()
+    assert lines[3] == row[0]
+    lines[3] = row[1]
+    target.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    files = [str(m)] + [f"{prefix}.{name}" for name in factors]
+    assert run("check", "--kind", kind, *files) == 1
+    assert capsys.readouterr().out == message + "\n"
+
+
 def test_check_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("ring q\nsize 2\n1 2\n")

@@ -313,6 +313,21 @@ def test_auto_dispatches_prime_fields_through_lift():
     assert is_invertible(m)
 
 
+def test_auto_reraises_pivot_failure_without_gram_driver(tmp_path, capsys):
+    # K(t) over GF(7) has no Gram driver, so the Schur failure is the answer
+    ring = ring_from_spec("ratfun:gf:7")
+    assert inversion.gram_driver(ring) is None
+    with pytest.raises(PivotBlockSingular) as info:
+        auto_invert(ring_mat(ring, [[0, 1], [1, 0]]))
+    assert info.value.path == ("A",)
+    m = tmp_path / "m.mat"
+    m.write_text("ring ratfun:gf:7\nsize 2\n(0) (1)\n(1) (0)\n")
+    out = tmp_path / "inv.mat"
+    assert cli.main(["invert", str(m), "--method", "auto", "-o", str(out)]) == 4
+    assert capsys.readouterr().err == "error: pivot block singular at node A\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ring", [QQ, GF(2), GF(7), QQ_I], ids=lambda r: r.spec)
 def test_auto_matches_oracle(ring, rng):
     for n in (2, 4, 8):

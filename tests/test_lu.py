@@ -13,7 +13,6 @@ from blocklin import (
     BlockMatrix,
     DepthMismatch,
     OpCounter,
-    PermutationTrace,
     PivotBlockSingular,
     RandomnessExhausted,
     RatFun,
@@ -229,59 +228,70 @@ def test_ldu_reconstruction(rng):
         assert mul(mul(lb, db), ub) == m
 
 
-# -- permutation traces ----------------------------------------------------------
+# -- permutation vectors ---------------------------------------------------------
 
 
-def test_apply_identity_trace(rng):
+def test_apply_identity_vector(rng):
     m = random_matrix(QQ, 2, rng)
-    assert apply_permutation(PermutationTrace.identity(2), m, "rows") == m
+    for side in ("rows", "cols"):
+        for inverse in (False, True):
+            assert apply_permutation((0, 1, 2, 3), m, side, inverse=inverse) is m
 
 
 def test_single_swap_semantics(rng):
     m = random_matrix(QQ, 2, rng)
-    swap = PermutationTrace(2, swap=True)
+    swap = (2, 3, 0, 1)
     swapped = apply_permutation(swap, m, "rows")
     assert swapped.a == m.c and swapped.b == m.d
     assert swapped.c == m.a and swapped.d == m.b
-    # each recorded swap is an involution
+    # a single block swap is an involution
     assert apply_permutation(swap, swapped, "rows") == m
     cols = apply_permutation(swap, m, "cols")
     assert cols.a == m.b and cols.c == m.d
 
 
-def test_trace_vector_matches_application(rng):
-    trace = PermutationTrace(
-        2,
-        swap=True,
-        children=(PermutationTrace(1, swap=True), PermutationTrace(1)),
-    )
-    vec = trace.to_vector()
+def test_vector_matches_application(rng):
+    vec = [2, 3, 1, 0]
     m = random_matrix(QQ, 2, rng)
     dense = to_dense(m)
-    permuted = to_dense(apply_permutation(trace, m, "rows"))
+    permuted = to_dense(apply_permutation(vec, m, "rows"))
     for i in range(4):
         assert permuted.rows[i] == dense.rows[vec[i]]
-    cols = to_dense(apply_permutation(trace, m, "cols"))
+    cols = to_dense(apply_permutation(vec, m, "cols"))
     for j in range(4):
         for i in range(4):
             assert cols.rows[i][j] == dense.rows[i][vec[j]]
 
 
 def test_inverse_application_round_trip(rng):
-    trace = PermutationTrace(
-        2,
-        swap=True,
-        children=(PermutationTrace(1, swap=True), PermutationTrace(1, swap=True)),
-    )
-    m = random_matrix(QQ, 2, rng)
-    for side in ("rows", "cols"):
-        forward = apply_permutation(trace, m, side)
-        assert apply_permutation(trace, forward, side, inverse=True) == m
+    m = random_matrix(QQ, 3, rng)
+    dense = to_dense(m)
+    for vec in ((3, 2, 1, 0, 5, 4, 6, 7), (6, 7, 5, 4, 1, 0, 2, 3)):
+        for side in ("rows", "cols"):
+            forward = apply_permutation(vec, m, side)
+            assert apply_permutation(vec, forward, side, inverse=True) == m
+        back = to_dense(apply_permutation(vec, m, "rows", inverse=True))
+        for i in range(8):
+            assert back.rows[vec[i]] == dense.rows[i]
 
 
 def test_apply_depth_mismatch():
     with pytest.raises(DepthMismatch):
-        apply_permutation(PermutationTrace.identity(1), identity(2, QQ), "rows")
+        apply_permutation((1, 0), identity(2, QQ), "rows")
+
+
+@pytest.mark.parametrize("vec", [(0, 0, 1, 2), (0, 1, 2, 4), (1, 2, 3, -1)])
+def test_apply_rejects_non_permutation(vec):
+    with pytest.raises(ValueError, match="not a permutation"):
+        apply_permutation(vec, identity(2, QQ), "rows")
+
+
+@pytest.mark.parametrize("vec", [(0, 2, 1, 3), (1, 3, 0, 2), (0, 1, 3, 2, 4, 6, 5, 7)])
+def test_apply_rejects_vector_that_is_not_nested_block_swaps(vec):
+    m = identity(len(vec).bit_length() - 1, QQ)
+    for inverse in (False, True):
+        with pytest.raises(ValueError, match="not nested block swaps"):
+            apply_permutation(vec, m, "cols", inverse=inverse)
 
 
 # -- lu_decompose -----------------------------------------------------------------
@@ -289,7 +299,7 @@ def test_apply_depth_mismatch():
 
 def test_lu_example():
     res = lu_decompose(ring_mat(QQ, [[1, 2], [3, 4]]))
-    assert res.p.is_identity and res.q.is_identity
+    assert res.p == res.q == (0, 1)
     assert grid(res.l.body) == [["1", "0"], ["3", "1"]]
     assert grid(res.u.body) == [["1", "2"], ["0", "-2"]]
 
@@ -298,14 +308,14 @@ def test_lu_row_swap_example():
     res = lu_decompose(ring_mat(QQ, [[0, 1], [1, 0]]))
     assert res.l.body == identity(1, QQ)
     assert res.u.body == identity(1, QQ)
-    assert res.p.to_vector() == [1, 0]
-    assert res.q.is_identity
+    assert res.p == (1, 0)
+    assert res.q == (0, 1)
 
 
 def test_lu_identity_any_depth():
     for depth in (1, 2, 3):
         res = lu_decompose(identity(depth, QQ))
-        assert res.p.is_identity and res.q.is_identity
+        assert res.p == res.q == tuple(range(1 << depth))
         assert res.l.body == identity(depth, QQ)
         assert res.u.body == identity(depth, QQ)
 
@@ -449,12 +459,12 @@ def test_lu_needs_no_invertibility_test_when_pivots_factor(monkeypatch):
     rng = random.Random(stable_seed("no-is-invertible"))
     strong = lu_able_matrix(QQ, 3, rng)
     res = lu_decompose(strong)
-    assert res.p.is_identity and res.q.is_identity
+    assert res.p == res.q == tuple(range(8))
     assert res.reconstruct() == strong
     # GF(7), A singular: the candidate A is rejected by factoring it
     m = ring_mat(GF(7), SINGULAR_A_ROWS)
     res = lu_decompose(m)
-    assert res.p.to_vector()[:2] == [2, 3]
+    assert res.p[:2] == (2, 3)
     assert res.reconstruct() == m
 
 

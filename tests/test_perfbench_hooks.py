@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` rebinds every function named in its ``TRACED`` map
 and the functions held in ``cli._METHODS`` tuples.  A refactor that renames
 one of them, or stores a method in another shape, silently stops the
-benchmark from seeing it, so the hooks are checked here.
+benchmark from seeing it, so the hooks are checked here.  So are the parts
+of an LU result the benchmark's checker reads, and the error class names it
+matches as strings.
 """
 
 import importlib
@@ -11,7 +13,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from blocklin import cli
+from blocklin import QQ, BlockMatrix, cli, errors, lu
+
+from conftest import ring_mat
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +43,17 @@ def test_dispatched_methods_are_label_function_tuples():
         assert isinstance(entry, tuple) and len(entry) == 2
         label, fn = entry
         assert isinstance(label, str) and inspect.isfunction(fn)
+
+
+def test_lu_result_parts_read_by_the_checker():
+    result = lu.lu_decompose(ring_mat(QQ, [[0, 1], [1, 0]]))
+    rows_vec, cols_vec = result.permutation_vectors()
+    for vec in (rows_vec, cols_vec):
+        assert type(vec) is list and all(type(i) is int for i in vec)
+    assert (rows_vec, cols_vec) == ([1, 0], [0, 1])
+    assert isinstance(result.l.body, BlockMatrix) and isinstance(result.u.body, BlockMatrix)
+
+
+def test_error_names_matched_as_strings_exist():
+    for name in ("RandomnessExhausted", "AllBlocksSingular"):
+        assert issubclass(getattr(errors, name), errors.BlocklinError)
