@@ -5,7 +5,12 @@ a scalar leaf or four equal-depth quadrants A (top-left), B (top-right),
 C (bottom-left), D (bottom-right).  The public surface deliberately offers
 no row or column access: algorithms built on it operate on whole blocks
 only, and convert through :class:`~blocklin.dense.DenseMatrix` solely at
-the I/O and oracle boundary.
+the I/O and oracle boundary.  Inside this module, :func:`mul` is the one
+exception: its kernel reads both operands' leaves row-major with the same
+pair of quadtree walks that :func:`to_dense` and :func:`from_dense` use,
+takes every output entry as one dot product (over QQ on integers brought to
+a common denominator, over GF(p) on residues with one reduction per entry),
+and hands back a quadtree.
 
 Every arithmetic operation threads an optional :class:`OpCounter` tallying
 base-scalar multiplications, divisions, additions, and t-power scalings.
@@ -19,8 +24,13 @@ its own counter and the counters are merged afterwards.
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
+from math import lcm
+
 from .dense import DenseMatrix
 from .errors import DepthMismatch, NonPowerOfTwo
+from .rings import QQ, PrimeFieldElement, Rational, _PrimeField
 
 __all__ = [
     "OpCounter",
@@ -181,43 +191,42 @@ def map_leaves(m: BlockMatrix, fn) -> BlockMatrix:
 # dense conversions and embedding
 
 
+def _leaf_rows(m: BlockMatrix) -> list:
+    """m's scalars as row lists, read by one level-order walk of the quadtree."""
+    grid = [[m]]
+    for _ in range(m.depth):
+        grid = [
+            [quad for node in row for quad in node.blocks[half : half + 2]]
+            for row in grid
+            for half in (0, 2)
+        ]
+    return [[node.scalar for node in row] for row in grid]
+
+
+def _from_rows(rows, depth: int) -> BlockMatrix:
+    """The quadtree whose row lists are ``rows``; the inverse of :func:`_leaf_rows`."""
+    grid = [[BlockMatrix(0, scalar) for scalar in row] for row in rows]
+    for level in range(1, depth + 1):
+        grid = [
+            [
+                BlockMatrix(level, None, (top[j], top[j + 1], bottom[j], bottom[j + 1]))
+                for j in range(0, len(top), 2)
+            ]
+            for top, bottom in zip(grid[::2], grid[1::2])
+        ]
+    return grid[0][0]
+
+
 def from_dense(dense: DenseMatrix) -> BlockMatrix:
     """Exact conversion; the dimension must be a power of two."""
     n = dense.n
     if n < 1 or n & (n - 1):
         raise NonPowerOfTwo(f"{n} is not a power of two; use embed() instead")
-
-    def build(r0, c0, size):
-        if size == 1:
-            return BlockMatrix.leaf(dense.rows[r0][c0])
-        h = size // 2
-        return BlockMatrix.quad(
-            build(r0, c0, h),
-            build(r0, c0 + h, h),
-            build(r0 + h, c0, h),
-            build(r0 + h, c0 + h, h),
-        )
-
-    return build(0, 0, n)
+    return _from_rows(dense.rows, n.bit_length() - 1)
 
 
 def to_dense(m: BlockMatrix) -> DenseMatrix:
-    n = m.dimension
-    ring = m.ring
-    rows = [[None] * n for _ in range(n)]
-
-    def fill(node, r0, c0):
-        if node.is_leaf:
-            rows[r0][c0] = node.scalar
-            return
-        h = node.dimension // 2
-        fill(node.a, r0, c0)
-        fill(node.b, r0, c0 + h)
-        fill(node.c, r0 + h, c0)
-        fill(node.d, r0 + h, c0 + h)
-
-    fill(m, 0, 0)
-    return DenseMatrix(n, rows, ring)
+    return DenseMatrix(m.dimension, _leaf_rows(m), m.ring)
 
 
 def embed(dense: DenseMatrix) -> BlockMatrix:
@@ -290,33 +299,81 @@ def mul(
 ) -> BlockMatrix:
     """Exact product.
 
-    ``naive`` recurses through 8 half-size products and 4 block additions;
-    ``strassen`` through 7 products and 18 block additions.  Both bottom
-    out at a single counted scalar multiplication per leaf and never
-    shortcut zero or identity operands, keeping counts shape-determined.
-    Strassen commutes no factors, so it remains valid over the quaternions.
+    ``naive`` is priced as the recursion through 8 half-size products and 4
+    block additions: n**3 scalar multiplications and n**2 * (n - 1)
+    additions, tallied once per call.  It runs as one dense kernel that
+    reads both operands' leaves into rows and takes every output entry as
+    one dot product.  ``strassen`` recurses through 7 products and 18 block
+    additions.  Neither shortcuts zero or identity operands, so counts stay
+    shape-determined, and neither commutes factors, so both remain valid
+    over the quaternions.  Operands over different rings raise TypeError.
     """
     counter = counter if counter is not None else OpCounter()
     _check_depth(x, y)
     if strategy == "naive":
-        return _mul_naive(x, y, counter)
+        return _mul_dense(x, y, counter)
     if strategy == "strassen":
         return _mul_strassen(x, y, counter)
     raise ValueError(f"unknown multiplication strategy {strategy!r}")
 
 
-def _mul_naive(x, y, counter):
+def _mul_dense(x, y, counter):
     if x.is_leaf:
+        # one scalar product; the scalar types reject mixed rings themselves
         counter.mul_count += 1
-        return BlockMatrix.leaf(x.scalar * y.scalar)
-    a, b, c, d = x.blocks
-    e, f, g, h = y.blocks
-    return BlockMatrix.quad(
-        _add(_mul_naive(a, e, counter), _mul_naive(b, g, counter), counter),
-        _add(_mul_naive(a, f, counter), _mul_naive(b, h, counter), counter),
-        _add(_mul_naive(c, e, counter), _mul_naive(d, g, counter), counter),
-        _add(_mul_naive(c, f, counter), _mul_naive(d, h, counter), counter),
-    )
+        return BlockMatrix(0, x.scalar * y.scalar)
+    ring = x.ring
+    if y.ring is not ring:
+        raise TypeError(f"cannot multiply matrices over {ring!r} and {y.ring!r}")
+    if ring is QQ:
+        out = _dot_rational(_leaf_rows(x), zip(*_leaf_rows(y)))
+    elif isinstance(ring, _PrimeField):
+        out = _dot_residue(_leaf_rows(x), zip(*_leaf_rows(y)), ring.p)
+    else:
+        out = _dot_pairwise(_leaf_rows(x), list(zip(*_leaf_rows(y))))
+    n = x.dimension
+    counter.mul_count += n**3
+    counter.add_count += n * n * (n - 1)
+    return _from_rows(out, x.depth)
+
+
+def _over_common_denominator(scalars):
+    """Integers a and d > 0 with a[k] / d the k-th rational of ``scalars``."""
+    values = [s.value for s in scalars]
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _dot_rational(rows, cols):
+    # delayed reduction: integer dot products, one Fraction gcd per entry
+    left = [_over_common_denominator(row) for row in rows]
+    right = [_over_common_denominator(col) for col in cols]
+    return [
+        [Rational(Fraction(sum(map(operator.mul, a, b)), d * e)) for b, e in right]
+        for a, d in left
+    ]
+
+
+def _dot_residue(rows, cols, p):
+    left = [[s.residue for s in row] for row in rows]
+    right = [[s.residue for s in col] for col in cols]
+    return [[PrimeFieldElement(sum(map(operator.mul, a, b)) % p, p) for b in right] for a in left]
+
+
+def _dot_pairwise(rows, cols):
+    """Products taken left times right and summed in adjacent pairs, level by
+    level: the order of the block recursion, whose intermediate sums this
+    keeps, and with them the growth of K(t) numerators and denominators."""
+    out = []
+    for a in rows:
+        out_row = []
+        for b in cols:
+            terms = list(map(operator.mul, a, b))
+            while len(terms) > 1:
+                terms = [s + t for s, t in zip(terms[::2], terms[1::2])]
+            out_row.append(terms[0])
+        out.append(out_row)
+    return out
 
 
 def _mul_strassen(x, y, counter):

@@ -16,6 +16,7 @@ unexpected exception, reported as one ``error:`` line, not a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -299,7 +300,11 @@ def _cmd_verify_counts(args) -> int:
 # argument wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Handlers are not bound here:
+    :func:`main` looks ``_cmd_<command>`` up when it runs, so rebinding a
+    handler in this module takes effect on the next call."""
     parser = argparse.ArgumentParser(
         prog="blocklin", description="Exact block-matrix algebra, batch interface"
     )
@@ -312,43 +317,36 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--invertible", action="store_true")
     gen.add_argument("--all-blocks-singular", action="store_true")
     gen.add_argument("-o", "--output", default="-")
-    gen.set_defaults(handler=_cmd_gen)
 
     mul = sub.add_parser("mul", help="multiply two matrix files")
     mul.add_argument("left")
     mul.add_argument("right")
     mul.add_argument("--strategy", choices=["naive", "strassen"], default="naive")
     mul.add_argument("-o", "--output", default="-")
-    mul.set_defaults(handler=_cmd_mul)
 
     inv = sub.add_parser("invert", help="invert a matrix file")
     inv.add_argument("input")
     inv.add_argument("--method", choices=["schur", "gram", "gv", "auto"], default="auto")
     inv.add_argument("-o", "--output", default="-")
-    inv.set_defaults(handler=_cmd_invert)
 
     lu_cmd = sub.add_parser("lu", help="factor as P L U Q")
     lu_cmd.add_argument("input")
     lu_cmd.add_argument("--randomized", action="store_true")
     lu_cmd.add_argument("--out-prefix", default="out")
-    lu_cmd.set_defaults(handler=_cmd_lu)
 
     ldu_cmd = sub.add_parser("ldu", help="one-level block LDU factorization")
     ldu_cmd.add_argument("input")
     ldu_cmd.add_argument("--out-prefix", default="out")
-    ldu_cmd.set_defaults(handler=_cmd_ldu)
 
     chk = sub.add_parser("check", help="verify an inverse or factorization exactly")
     chk.add_argument("--kind", choices=["inverse", "pluq", "ldu"], required=True)
     chk.add_argument("files", nargs="+")
-    chk.set_defaults(handler=_cmd_check)
 
     vc = sub.add_parser("verify-counts", help="compare measured counts with predictions")
     vc.add_argument("--op", choices=["mul", "tri_mul", "tri_inv", "gram_inv", "lu"], required=True)
     vc.add_argument("--sizes", required=True)
     vc.add_argument("--seed", type=int, default=0)
     vc.add_argument("--machine", action="store_true")
-    vc.set_defaults(handler=_cmd_verify_counts)
 
     return parser
 
@@ -368,8 +366,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

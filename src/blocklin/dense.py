@@ -1,8 +1,11 @@
 """Row-major dense matrices: the I/O, embedding, and oracle boundary.
 
 Dense matrices exist for file round trips and for independent row-based
-verification (Gauss-Jordan inversion, determinants).  The block algorithms
-in this package never use them internally.
+verification (Gauss-Jordan inversion, determinants, and :func:`dense_mul`,
+the textbook product that tests hold :func:`blocklin.blockmat.mul` to).  The
+block algorithms in this package never use them internally; the dense
+kernel of ``blockmat.mul`` reads quadtree leaves into plain row lists of
+its own and shares no code with this module.
 """
 
 from __future__ import annotations

@@ -30,7 +30,10 @@ from blocklin import (
     transpose,
     zero_matrix,
 )
-from blocklin.sampling import random_matrix
+from blocklin.cyclotomic import lift_field
+from blocklin.dense import dense_mul
+from blocklin.rings import is_prime
+from blocklin.sampling import random_dense, random_matrix
 
 from conftest import grid, ring_dense, ring_mat, stable_seed
 
@@ -212,6 +215,79 @@ def test_block_ring_axioms(ring):
         z = random_matrix(ring, depth, rng)
         assert mul(mul(x, y), z) == mul(x, mul(y, z))
         assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+
+
+@pytest.mark.parametrize(
+    "left, right", [(QQ, GF(7)), (GF(7), QQ), (GF(7), GF(11))], ids=lambda r: r.spec
+)
+def test_mul_rejects_operands_over_different_rings(left, right, rng):
+    for depth in (0, 2):
+        x = random_matrix(left, depth, rng)
+        y = random_matrix(right, depth, rng)
+        with pytest.raises(TypeError):
+            mul(x, y)
+
+
+LIFT = lift_field(7, 8)
+
+
+def lift_entry(rng):
+    """A random element c0 + c1*t**k of GF(7)[t]/Phi_l."""
+    f = GF(7)
+    head = LIFT.lift(f.random_element(rng))
+    return head + LIFT.lift(f.random_element(rng)) * LIFT.t_power(rng.randrange(LIFT.order))
+
+
+def kernel_operands(ring, n, rng):
+    """Two random operands; up to n = 8 also zero and identity operands."""
+    if ring is LIFT:
+        draw = lambda: DenseMatrix(n, [[lift_entry(rng) for _ in range(n)] for _ in range(n)], LIFT)
+        zero, one = LIFT.lift(GF(7).zero()), LIFT.lift(GF(7).one())
+    else:
+        draw = lambda: random_dense(ring, n, rng)
+        zero, one = ring.zero(), ring.one()
+    x, y = draw(), draw()
+    eye = DenseMatrix(n, [[one if i == j else zero for j in range(n)] for i in range(n)], ring)
+    nil = DenseMatrix(n, [[zero] * n for _ in range(n)], ring)
+    return [(x, y), (nil, y), (x, eye), (eye, y)] if n <= 8 else [(x, y)]
+
+
+def coprime_denominator_operands(n):
+    """QQ rows and columns whose 2n denominators are pairwise coprime primes,
+    so every common denominator is the product of n primes."""
+    primes = [p for p in range(3, 2000) if is_prime(p)][: 2 * n]
+    x = [[Rational(i - k - 1, primes[k]) for k in range(n)] for i in range(n)]
+    y = [[Rational(j + k + 2, primes[n + k]) for j in range(n)] for k in range(n)]
+    return DenseMatrix(n, x, QQ), DenseMatrix(n, y, QQ)
+
+
+KERNEL_RINGS = [QQ, QQ_I, QUAT, GF(2), GF(7), GF(65521), GF(2**61 - 1), RatFun(QQ), RatFun(GF(7)), LIFT]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.spec)
+def test_mul_kernel_matches_dense_product_and_recursion_counts(ring):
+    rng = random.Random(stable_seed("mul-kernel", ring.spec))
+    for depth in range(6):
+        n = 1 << depth
+        pairs = kernel_operands(ring, n, rng)
+        if ring is QQ:
+            pairs.append(coprime_denominator_operands(n))
+        for dx, dy in pairs:
+            counter = OpCounter()
+            product = mul(from_dense(dx), from_dense(dy), counter)
+            assert to_dense(product) == dense_mul(dx, dy)
+            assert counter.snapshot() == {"mul": n**3, "div": 0, "add": n * n * (n - 1), "scaling": 0}
+
+
+def test_quaternion_products_keep_factor_order():
+    i, j, k = QUAT.parse("i"), QUAT.parse("j"), QUAT.parse("k")
+    for depth in range(4):
+        n = 1 << depth
+        scalar = lambda q: from_dense(
+            DenseMatrix(n, [[q if r == c else QUAT.zero() for c in range(n)] for r in range(n)], QUAT)
+        )
+        assert mul(scalar(i), scalar(j)) == scalar(k)
+        assert mul(scalar(j), scalar(i)) == scalar(-k)
 
 
 # -- conjugations ---------------------------------------------------------------

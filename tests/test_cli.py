@@ -310,9 +310,12 @@ def test_unexpected_error_exits_internal(tmp_path, monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_cmd_invert", broken)
     m = tmp_path / "m.mat"
     write_witness(m)
+    # the parser is built once per process; a handler rebound after it was
+    # built must still be the one that runs
+    assert run("invert", str(m)) == 0
+    monkeypatch.setattr(cli, "_cmd_invert", broken)
     capsys.readouterr()
     assert run("invert", str(m)) == 6
     assert capsys.readouterr().err.splitlines() == ["error: internal error: RuntimeError: boom"]
