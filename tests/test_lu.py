@@ -143,14 +143,38 @@ def test_tri_mul_count_law(n, expect, rng):
     assert counter.muldiv == expect
 
 
+# the rings the triangular kernels are checked on; they are looped inside the
+# tests rather than parametrized, so the test IDs stay one per orientation/side
+TRI_RINGS = [QQ, QQ_I, QUAT, GF(2), GF(7), GF(65521), RatFun(QQ)]
+
+
+def tri_cases(name, *parts):
+    """(ring, depth, rng) for depths 0-3 on each ring, 0-2 over K(t)."""
+    for ring in TRI_RINGS:
+        rng = random.Random(stable_seed(name, ring.spec, *parts))
+        for depth in range(3 if ring.spec.startswith("ratfun") else 4):
+            yield ring, depth, rng
+
+
 @pytest.mark.parametrize("orientation", [LOWER, UPPER])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_tri_mul_all_variants_match_general_product(orientation, side, rng):
-    for depth in (1, 2, 3):
-        tm = random_triangular(QQ, depth, rng, orientation)
-        g = random_matrix(QQ, depth, rng)
-        expected = mul(tm.body, g) if side == "left" else mul(g, tm.body)
-        assert tri_mul(tm, g, side) == expected
+def test_tri_mul_all_variants_match_general_product(orientation, side):
+    # tri_mul runs on mul's kernel, so the reference is the schoolbook dense
+    # product; over QUAT the right side checks that the factor order g*T is kept
+    for ring, depth, rng in tri_cases("tri_mul", orientation, side):
+        n = 1 << depth
+        tm = random_triangular(ring, depth, rng, orientation)
+        g = random_matrix(ring, depth, rng)
+        pair = (tm.body, g) if side == "left" else (g, tm.body)
+        expected = from_dense(dense_mul(*map(to_dense, pair)))
+        counter = OpCounter()
+        assert tri_mul(tm, g, side, counter) == expected, (ring.spec, depth)
+        assert counter.snapshot() == {
+            "mul": (n**3 + n**2) // 2,
+            "div": 0,
+            "add": n * n * (n - 1) // 2,
+            "scaling": 0,
+        }, (ring.spec, depth)
 
 
 def test_tri_mul_depth_mismatch():
@@ -180,13 +204,15 @@ def test_tri_invert_count_law(n, expect, rng):
 
 
 @pytest.mark.parametrize("orientation", [LOWER, UPPER])
-def test_tri_invert_structure_and_round_trip(orientation, rng):
-    for depth in (1, 2, 3):
-        tm = random_triangular(QQ, depth, rng, orientation)
-        inv = tri_invert(tm)
+def test_tri_invert_structure_and_round_trip(orientation):
+    for ring, depth, rng in tri_cases("tri_invert", orientation):
+        tm = random_triangular(ring, depth, rng, orientation)
+        counter = OpCounter()
+        inv = tri_invert(tm, counter)
+        assert counter.muldiv == recurrence_T_triinv(1 << depth), (ring.spec, depth)
         assert inv.orientation == orientation
-        assert inv.is_structurally_valid()
-        assert mul(inv.body, tm.body) == identity(depth, QQ)
+        assert inv.is_structurally_valid(), (ring.spec, depth)
+        assert mul(inv.body, tm.body) == identity(depth, ring), (ring.spec, depth)
 
 
 def test_tri_invert_singular_diagonal():
