@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Measure every instrumented kernel and compare against its predictions.
 
-Runs each operation on seeded random invertible rational matrices, tallies
-base-scalar multiplications and divisions, and prints the measured totals
-next to the exact recurrence and closed-form values.  Rows whose closed
-form tracks a different accounting (triangular inversion, the full
-factorization) carry an annotation instead of a mismatch flag.
+Runs ``blocklin verify-counts`` once per operation of a fixed plan: each
+operation on seeded random invertible rational matrices, with measured
+multiplication and division totals printed next to the exact recurrence
+and closed-form values.  Rows whose closed form tracks a different
+accounting (triangular inversion, the full factorization) carry an
+annotation instead of a mismatch flag.  Exits 0 when every row matches.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from pathlib import Path
 # allow running straight from a checkout, before any install
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from blocklin.complexity import render_machine, render_table, verify_counts
+from blocklin import cli
 
 DEFAULT_PLAN = [
     ("mul", [2, 4, 8, 16]),
@@ -33,12 +34,10 @@ def main() -> int:
     args = parser.parse_args()
     ok = True
     for op, sizes in DEFAULT_PLAN:
-        reports = verify_counts(op, sizes, seed=args.seed)
-        ok = ok and all(r.match for r in reports)
-        if args.machine:
-            sys.stdout.write(render_machine(reports))
-        else:
-            sys.stdout.write(render_table(reports))
+        argv = ["verify-counts", "--op", op, "--sizes", ",".join(map(str, sizes))]
+        argv += ["--seed", str(args.seed)] + (["--machine"] if args.machine else [])
+        ok = cli.main(argv) == cli.EXIT_OK and ok
+        if not args.machine:
             sys.stdout.write("\n")
     return 0 if ok else 1
 

@@ -8,9 +8,8 @@ only, and convert through :class:`~blocklin.dense.DenseMatrix` solely at
 the I/O and oracle boundary.  Inside this module, :func:`mul` is the one
 exception: its kernel reads both operands' leaves row-major with the same
 pair of quadtree walks that :func:`to_dense` and :func:`from_dense` use,
-takes every output entry as one dot product (over QQ on integers brought to
-a common denominator, over GF(p) on residues with one reduction per entry),
-and hands back a quadtree.
+takes every output entry as one dot product of the ring's own row kernel
+(``ring.dot_rows``), and hands back a quadtree.
 
 Every arithmetic operation threads an optional :class:`OpCounter` tallying
 base-scalar multiplications, divisions, additions, and t-power scalings.
@@ -24,13 +23,8 @@ its own counter and the counters are merged afterwards.
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
-from math import lcm
-
 from .dense import DenseMatrix
 from .errors import DepthMismatch, NonPowerOfTwo
-from .rings import QQ, PrimeFieldElement, Rational, _PrimeField
 
 __all__ = [
     "OpCounter",
@@ -325,55 +319,11 @@ def _mul_dense(x, y, counter):
     ring = x.ring
     if y.ring is not ring:
         raise TypeError(f"cannot multiply matrices over {ring!r} and {y.ring!r}")
-    if ring is QQ:
-        out = _dot_rational(_leaf_rows(x), zip(*_leaf_rows(y)))
-    elif isinstance(ring, _PrimeField):
-        out = _dot_residue(_leaf_rows(x), zip(*_leaf_rows(y)), ring.p)
-    else:
-        out = _dot_pairwise(_leaf_rows(x), list(zip(*_leaf_rows(y))))
+    out = ring.dot_rows(_leaf_rows(x), zip(*_leaf_rows(y)))
     n = x.dimension
     counter.mul_count += n**3
     counter.add_count += n * n * (n - 1)
     return _from_rows(out, x.depth)
-
-
-def _over_common_denominator(scalars):
-    """Integers a and d > 0 with a[k] / d the k-th rational of ``scalars``."""
-    values = [s.value for s in scalars]
-    d = lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _dot_rational(rows, cols):
-    # delayed reduction: integer dot products, one Fraction gcd per entry
-    left = [_over_common_denominator(row) for row in rows]
-    right = [_over_common_denominator(col) for col in cols]
-    return [
-        [Rational(Fraction(sum(map(operator.mul, a, b)), d * e)) for b, e in right]
-        for a, d in left
-    ]
-
-
-def _dot_residue(rows, cols, p):
-    left = [[s.residue for s in row] for row in rows]
-    right = [[s.residue for s in col] for col in cols]
-    return [[PrimeFieldElement(sum(map(operator.mul, a, b)) % p, p) for b in right] for a in left]
-
-
-def _dot_pairwise(rows, cols):
-    """Products taken left times right and summed in adjacent pairs, level by
-    level: the order of the block recursion, whose intermediate sums this
-    keeps, and with them the growth of K(t) numerators and denominators."""
-    out = []
-    for a in rows:
-        out_row = []
-        for b in cols:
-            terms = list(map(operator.mul, a, b))
-            while len(terms) > 1:
-                terms = [s + t for s, t in zip(terms[::2], terms[1::2])]
-            out_row.append(terms[0])
-        out.append(out_row)
-    return out
 
 
 def _mul_strassen(x, y, counter):

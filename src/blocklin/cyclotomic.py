@@ -6,14 +6,15 @@ product needs a polynomial gcd, it computes in GF(p)[t]/Phi_l with Phi_l
 the l-th cyclotomic polynomial, irreducible over GF(p) when p is a
 primitive root mod l.  Its elements offer exactly what the lift needs:
 ``t_power``, +, -, *, ``try_invert`` and ``is_constant`` /
-``constant_value``; the ring has no file syntax and no spec.
+``constant_value``; the ring has no file syntax and no spec, and keeps the
+base ring handle's row kernels.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import GF, RingElement, _strip, is_prime
+from .rings import GF, RingElement, _Ring, _strip, is_prime
 
 __all__ = ["lift_field"]
 
@@ -116,7 +117,7 @@ class _CyclotomicElement(RingElement):
         return f"_CyclotomicElement({self.field.coefficients(self.value)}, {self.field.spec})"
 
 
-class _CyclotomicField:
+class _CyclotomicField(_Ring):
     """GF(p)[t]/Phi_l with t a primitive l-th root of unity.
 
     An element is sum c_i t^i with 0 <= c_i < p and i < l - 1, packed into
@@ -154,6 +155,12 @@ class _CyclotomicField:
             self._byte_mod = [bytes(b * 256**j % p for b in range(256)) for j in range(w)]
             self._minus = [bytes((b - c) % p for b in range(256)) for c in range(p)]
             self.mul = self._mul_bytes
+
+    def zero(self):
+        return _CyclotomicElement(0, self)
+
+    def one(self):
+        return _CyclotomicElement(1, self)
 
     def lift(self, x):
         """Embed a prime-field element as a constant."""
@@ -247,9 +254,6 @@ class _CyclotomicField:
         inv = base.raw_inv(r0[0])
         out = [c * inv % self.p for c in s0]
         return self._pack(out + [0] * (self.order - 1 - len(out)))
-
-    def __repr__(self):
-        return f"<ring {self.spec}>"
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """Row-major dense matrices: the I/O, embedding, and oracle boundary.
 
-Dense matrices exist for file round trips and for independent row-based
-verification (Gauss-Jordan inversion, determinants, and :func:`dense_mul`,
-the textbook product that tests hold :func:`blocklin.blockmat.mul` to).  The
-block algorithms in this package never use them internally; the dense
-kernel of ``blockmat.mul`` reads quadtree leaves into plain row lists of
-its own and shares no code with this module.
+Dense matrices exist for file round trips and for row-based work outside
+the block algorithms, which never use them internally: the products of the
+CLI's ``check`` (:func:`dense_mul`), the invertibility decision,
+determinants and Gauss-Jordan inversion.  Products and eliminations run
+on the ring's own row kernels, ``ring.dot_rows`` and
+``ring.pivot_product``: integers over a common denominator over QQ, raw
+residues over GF(p), scalar objects elsewhere.  ``blockmat.mul`` runs on
+the same ``dot_rows``, so the tests hold both to a schoolbook product of
+their own and to sympy.
 """
 
 from __future__ import annotations
@@ -44,18 +47,9 @@ def dense_identity(n, ring) -> DenseMatrix:
 def dense_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    n = a.n
-    out = []
-    for i in range(n):
-        row_a = a.rows[i]
-        out_row = []
-        for j in range(n):
-            acc = row_a[0] * b.rows[0][j]
-            for k in range(1, n):
-                acc = acc + row_a[k] * b.rows[k][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return DenseMatrix(n, out, a.ring)
+    if a.ring is not b.ring:
+        raise TypeError(f"cannot multiply matrices over {a.ring!r} and {b.ring!r}")
+    return DenseMatrix(a.n, a.ring.dot_rows(a.rows, zip(*b.rows)), a.ring)
 
 
 def gauss_jordan_inverse(m: DenseMatrix) -> DenseMatrix | None:
@@ -87,42 +81,11 @@ def gauss_jordan_inverse(m: DenseMatrix) -> DenseMatrix | None:
     return DenseMatrix(n, inv, m.ring)
 
 
-def forward_pivots(m: DenseMatrix) -> list:
-    """Forward elimination of m's rows: ``(pivot, swapped)`` per column, up
-    to the first column without a pivot, so m is invertible exactly when all
-    n are found.  Row r loses ``a[r][col] * pivot^-1`` times the pivot row, a
-    left row operation, which is sound over the quaternions as well.
-    """
-    n = m.n
-    a = [list(row) for row in m.rows]
-    pivots = []
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if pivot_row is None:
-            break
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        pivots.append((pivot, pivot_row != col))
-        pivot_inv = pivot.try_invert()
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            factor = a[r][col] * pivot_inv
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return pivots
-
-
 def dense_determinant(m: DenseMatrix):
-    """Determinant by fraction-producing Gaussian elimination.
+    """Determinant by the ring's forward elimination (``ring.pivot_product``).
 
     Only meaningful over commutative rings; quaternion input is rejected.
     """
     if not m.ring.commutative:
         raise ValueError("determinant needs a commutative ring")
-    pivots = forward_pivots(m)
-    if len(pivots) < m.n:
-        return m.ring.zero()
-    det = m.ring.one()
-    for pivot, swapped in pivots:
-        det = -det * pivot if swapped else det * pivot
-    return det
+    return m.ring.pivot_product(m.rows)

@@ -35,7 +35,7 @@ from . import blockmat as bm
 from .blockmat import BlockMatrix, OpCounter
 from .errors import GramSingular, NonConstantResidue, PivotBlockSingular
 from .cyclotomic import lift_field
-from .dense import DenseMatrix, forward_pivots
+from .dense import DenseMatrix
 from .rings import QQ, RatFun
 
 __all__ = [
@@ -332,9 +332,11 @@ def auto_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix
 def is_invertible(m: BlockMatrix | DenseMatrix) -> bool:
     """Whether m, a block or a dense matrix, has an inverse.
 
-    Decided by one forward elimination of its rows, not by a block
-    inverter; left row operations decide it over any division ring, the
-    quaternions included.  No counter sees this work.
+    Decided by one forward elimination of its rows on the ring's own
+    kernel (``ring.pivot_product``), not by a block inverter: fraction-free
+    on integers over QQ, on residues over GF(p), and by left row operations
+    elsewhere, which decide it over any division ring, the quaternions
+    included.  No counter sees this work.
     """
     dense = m if isinstance(m, DenseMatrix) else bm.to_dense(m)
-    return len(forward_pivots(dense)) == dense.n
+    return not dense.ring.pivot_product(dense.rows).is_zero()

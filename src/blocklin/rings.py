@@ -20,6 +20,11 @@ QQ and GF(p), the coefficient fields of K(t), share one set of polynomial
 kernels on raw coefficient lists (Fractions over QQ, residues in [0, p)
 over GF(p)); the only per-field step reduces each result list once.
 
+Each ring handle also owns the row kernels of matrix code, ``dot_rows``
+(dot products) and ``pivot_product`` (forward elimination): on integers
+over common denominators for QQ, on raw residues for GF(p), and on scalar
+objects elsewhere.
+
 One more ring, with no file syntax and no spec, lives in
 :mod:`blocklin.cyclotomic`: the finite field GF(p)[t]/Phi_l in which the
 base-field lift of :func:`~blocklin.inversion.invert_gram_gv` runs over a
@@ -30,9 +35,11 @@ All values are immutable after construction and safe to share freely.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import ZeroDenominator
 
@@ -91,6 +98,13 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _over_common_denominator(scalars):
+    """Integers a and d > 0 with a[k] / d the k-th rational of ``scalars``."""
+    values = [s.value for s in scalars]
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 class RingElement:
@@ -698,6 +712,56 @@ class _Ring:
     def random_element(self, rng):
         raise NotImplementedError
 
+    def dot_rows(self, rows, cols):
+        """Row lists: entry (i, j) is the dot product of rows[i] and cols[j].
+
+        Products are taken left times right and summed in adjacent pairs,
+        level by level, an odd last term carried up unchanged: at
+        power-of-two lengths the order of the block recursion, whose
+        intermediate sums this keeps, and with them the growth of K(t)
+        numerators and denominators.
+        """
+        cols = list(cols)
+        out = []
+        for a in rows:
+            out_row = []
+            for b in cols:
+                terms = list(map(operator.mul, a, b))
+                while len(terms) > 1:
+                    odd = terms[-1:] if len(terms) % 2 else []
+                    terms = [s + t for s, t in zip(terms[::2], terms[1::2])] + odd
+                out_row.append(terms[0])
+            out.append(out_row)
+        return out
+
+    def pivot_product(self, rows):
+        """Signed product of the pivots of a forward elimination of ``rows``,
+        zero when some column has no pivot: the determinant over a
+        commutative ring, and over any division ring nonzero exactly when
+        the rows are independent.  Row r loses ``a[r][col] * pivot^-1``
+        times the pivot row, a left row operation, which is sound over the
+        quaternions as well.
+        """
+        a = [list(row) for row in rows]
+        n = len(a)
+        det = self.one()
+        for col in range(n):
+            pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+            if pivot_row is None:
+                return self.zero()
+            if pivot_row != col:
+                a[col], a[pivot_row] = a[pivot_row], a[col]
+                det = -det
+            pivot = a[col][col]
+            det = det * pivot
+            pivot_inv = pivot.try_invert()
+            for r in range(col + 1, n):
+                if a[r][col].is_zero():
+                    continue
+                factor = a[r][col] * pivot_inv
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+        return det
+
     def __repr__(self):
         return f"<ring {self.spec}>"
 
@@ -811,6 +875,41 @@ class _RationalField(_CoefficientField):
     def random_element(self, rng):
         return Rational(rng.randint(-9, 9))
 
+    def dot_rows(self, rows, cols):
+        # delayed reduction: integer dot products, one Fraction gcd per entry
+        left = [_over_common_denominator(row) for row in rows]
+        right = [_over_common_denominator(col) for col in cols]
+        return [
+            [Rational(Fraction(sum(map(operator.mul, a, b)), d * e)) for b, e in right]
+            for a, d in left
+        ]
+
+    def pivot_product(self, rows):
+        # fraction-free (Bareiss) elimination on integer rows, row i scaled by
+        # its common denominator d_i: each step divides exactly by the
+        # previous pivot, and the last pivot is +-det * prod(d_i)
+        a, scale = [], 1
+        for row in rows:
+            ints, d = _over_common_denominator(row)
+            a.append(ints)
+            scale *= d
+        sign, prev = 1, 1
+        while a:
+            k = next((r for r, row in enumerate(a) if row[0]), None)
+            if k is None:
+                return Rational(0)
+            if k:
+                a[0], a[k] = a[k], a[0]
+                sign = -sign
+            top = a[0]
+            pivot, rest = top[0], top[1:]
+            a = [
+                [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], rest)]
+                for row in a[1:]
+            ]
+            prev = pivot
+        return Rational(Fraction(sign * prev, scale))
+
     @staticmethod
     def raw_add(a, b):
         return a + b
@@ -872,6 +971,35 @@ class _PrimeField(_CoefficientField):
 
     def random_element(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
+
+    def dot_rows(self, rows, cols):
+        # residue dot products, one reduction per entry
+        p = self.p
+        left = [[s.residue for s in row] for row in rows]
+        right = [[s.residue for s in col] for col in cols]
+        return [[PrimeFieldElement(sum(map(operator.mul, a, b)) % p, p) for b in right] for a in left]
+
+    def pivot_product(self, rows):
+        # elimination on raw residues; the rows shrink by the pivot column
+        p = self.p
+        a = [[s.residue for s in row] for row in rows]
+        det = 1
+        while a:
+            k = next((r for r, row in enumerate(a) if row[0]), None)
+            if k is None:
+                return PrimeFieldElement(0, p)
+            if k:
+                a[0], a[k] = a[k], a[0]
+                det = -det
+            top = a[0]
+            det = det * top[0] % p
+            pivot_inv, rest = pow(top[0], -1, p), top[1:]
+            out = []
+            for row in a[1:]:
+                factor = row[0] * pivot_inv % p
+                out.append([(x - factor * y) % p for x, y in zip(row[1:], rest)] if factor else row[1:])
+            a = out
+        return PrimeFieldElement(det, p)
 
     def raw_add(self, a, b):
         return (a + b) % self.p

@@ -1,5 +1,7 @@
+import operator
 import random
 import zlib
+from functools import reduce
 
 import pytest
 
@@ -9,6 +11,17 @@ from blocklin import DenseMatrix, QQ, from_dense
 def stable_seed(*parts) -> int:
     """Deterministic across processes, unlike built-in string hashing."""
     return zlib.crc32("|".join(str(p) for p in parts).encode())
+
+
+def schoolbook_mul(a, b):
+    """Textbook product, entry (i, j) folded left to right over k on scalar
+    objects: the tests' reference, independent of the package's row kernels."""
+    n = a.n
+    rows = [
+        [reduce(operator.add, (a.rows[i][k] * b.rows[k][j] for k in range(n))) for j in range(n)]
+        for i in range(n)
+    ]
+    return DenseMatrix(n, rows, a.ring)
 
 
 def ring_dense(ring, rows):

@@ -31,11 +31,10 @@ from blocklin import (
     zero_matrix,
 )
 from blocklin.cyclotomic import lift_field
-from blocklin.dense import dense_mul
 from blocklin.rings import is_prime
 from blocklin.sampling import random_dense, random_matrix
 
-from conftest import grid, ring_dense, ring_mat, stable_seed
+from conftest import grid, ring_dense, ring_mat, schoolbook_mul, stable_seed
 
 RINGS = [QQ, GF(7), QQ_I, QUAT, RatFun(GF(2))]
 
@@ -275,7 +274,7 @@ def test_mul_kernel_matches_dense_product_and_recursion_counts(ring):
         for dx, dy in pairs:
             counter = OpCounter()
             product = mul(from_dense(dx), from_dense(dy), counter)
-            assert to_dense(product) == dense_mul(dx, dy)
+            assert to_dense(product) == schoolbook_mul(dx, dy)
             assert counter.snapshot() == {"mul": n**3, "div": 0, "add": n * n * (n - 1), "scaling": 0}
 
 
