@@ -65,7 +65,6 @@ from .rings import (
     QQ_I,
     QUAT,
     GaussianRational,
-    Polynomial,
     PrimeFieldElement,
     Quaternion,
     RatFun,

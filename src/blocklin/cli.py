@@ -114,7 +114,7 @@ def _cmd_gen(args) -> int:
     elif args.invertible:
         # decided on the draw itself: the identity-summand embedding that
         # invert and lu apply later preserves invertibility
-        for _ in range(500):
+        for _ in range(sampling._MAX_DRAWS):
             dense = sampling.random_dense(ring, n, rng)
             if is_invertible(dense):
                 break

@@ -7,14 +7,15 @@ the l-th cyclotomic polynomial, irreducible over GF(p) when p is a
 primitive root mod l.  Its elements offer exactly what the lift needs:
 ``t_power``, +, -, *, ``try_invert`` and ``is_constant`` /
 ``constant_value``; the ring has no file syntax and no spec, and keeps the
-base ring handle's row kernels.
+base ring handle's row kernels.  Inversion runs the extended Euclidean
+algorithm on GF(p)'s own polynomial kernels.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import GF, RingElement, _Ring, _strip, is_prime
+from .rings import GF, RingElement, _Ring, is_prime
 
 __all__ = ["lift_field"]
 
@@ -244,12 +245,13 @@ class _CyclotomicField(_Ring):
     def invert(self, a):
         """Inverse of a nonzero packed element by the extended Euclidean algorithm."""
         base = GF(self.p)
-        r0, r1 = [1] * self.order, _strip(self.coefficients(a))
+        # the loop ends only on a canonical remainder, so r1 starts reduced
+        r0, r1 = [1] * self.order, base._reduce(self.coefficients(a))
         s0, s1 = [], [1]
         while r1:
             quot, rem = base.poly_divmod(r0, r1)
-            r0, r1 = r1, _strip(rem)
-            s0, s1 = s1, _strip(base.poly_sub(s0, base.poly_mul(quot, s1)))
+            r0, r1 = r1, rem
+            s0, s1 = s1, base.poly_sub(s0, base.poly_mul(quot, s1))
         # Phi_l is irreducible, so the gcd r0 is a nonzero constant
         inv = base.raw_inv(r0[0])
         out = [c * inv % self.p for c in s0]

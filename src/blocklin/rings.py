@@ -18,7 +18,10 @@ involution, the identity where no natural conjugation exists) and
 
 QQ and GF(p), the coefficient fields of K(t), share one set of polynomial
 kernels on raw coefficient lists (Fractions over QQ, residues in [0, p)
-over GF(p)); the only per-field step reduces each result list once.
+over GF(p)); the only per-field step, ``_reduce``, brings each result list
+to canonical form once.  A rational function stores its numerator and
+denominator as tuples of these raw coefficients and computes only through
+the kernels.
 
 Each ring handle also owns the row kernels of matrix code, ``dot_rows``
 (dot products) and ``pivot_product`` (forward elimination): on integers
@@ -49,7 +52,6 @@ __all__ = [
     "PrimeFieldElement",
     "GaussianRational",
     "Quaternion",
-    "Polynomial",
     "RationalFunction",
     "ratfun_reduce",
     "QQ",
@@ -385,169 +387,61 @@ class Quaternion(RingElement):
         return f"Quaternion({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-class Polynomial:
-    """Dense univariate polynomial over a base field, lowest degree first.
-
-    Coefficients are stored in the field's raw representation (Fraction for
-    QQ, int residues for GF(p)) to keep the inner loops cheap.  The zero
-    polynomial has an empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs, field, *, trusted=False):
-        self.field = field
-        if trusted:
-            self.coeffs = coeffs
-            return
-        cs = list(coeffs)
-        while cs and field.raw_is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field):
-        return cls((), field, trusted=True)
-
-    @classmethod
-    def one(cls, field):
-        return cls((field.raw_one,), field, trusted=True)
-
-    @classmethod
-    def constant(cls, raw, field):
-        return cls((raw,), field)
-
-    @classmethod
-    def t_power(cls, exponent: int, field):
-        if exponent < 0:
-            raise ValueError("t_power wants a nonnegative exponent")
-        return cls((field.raw_zero,) * exponent + (field.raw_one,), field, trusted=True)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        f = self.field
-        return Polynomial(f.poly_add(self.coeffs, other.coeffs), f)
-
-    def __neg__(self):
-        f = self.field
-        return Polynomial(tuple(f.raw_neg(c) for c in self.coeffs), f, trusted=True)
-
-    def __sub__(self, other):
-        f = self.field
-        return Polynomial(f.poly_sub(self.coeffs, other.coeffs), f)
-
-    def __mul__(self, other):
-        f = self.field
-        return Polynomial(f.poly_mul(self.coeffs, other.coeffs), f)
-
-    def scale(self, raw) -> "Polynomial":
-        f = self.field
-        if f.raw_is_zero(raw):
-            return Polynomial.zero(f)
-        return Polynomial(tuple(f.raw_mul(c, raw) for c in self.coeffs), f)
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        quot, rem = f.poly_divmod(self.coeffs, other.coeffs)
-        return Polynomial(quot, f), Polynomial(rem, f)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(("Polynomial", self.field.spec, self.coeffs))
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r}, {self.field.spec})"
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    field = a.field
-    return Polynomial(field.poly_gcd(a.coeffs, b.coeffs), field)
-
-
 class RationalFunction(RingElement):
     """num/den over a base field in the variable t, in canonical form.
 
+    ``num`` and ``den`` are tuples of raw coefficients of the base field
+    ``field``, lowest degree first, with no zero leading coefficient.
     Canonical means: denominator monic and nonzero, gcd(num, den) = 1, and
-    the zero value is 0/1.  Equality of values is therefore structural
+    the zero value is ()/(1,).  Equality of values is therefore structural
     equality.  Construct through :func:`ratfun_reduce` or ring handles; the
-    raw constructor trusts its inputs.
+    raw constructor trusts its inputs.  All arithmetic runs on the field's
+    polynomial kernels (``field.poly_*``).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "field")
 
-    def __init__(self, num: Polynomial, den: Polynomial):
-        self.num = num
-        self.den = den
+    def __init__(self, num, den, field):
+        self.num = tuple(num)
+        self.den = tuple(den)
+        self.field = field
 
     @property
     def ring(self):
-        return RatFun(self.num.field)
-
-    @property
-    def field(self):
-        return self.num.field
+        return RatFun(self.field)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def is_constant(self) -> bool:
-        return self.den.degree() == 0 and self.num.degree() <= 0
+        return len(self.den) == 1 and len(self.num) <= 1
 
     def constant_value(self):
         """Raw base-field value of a constant; requires ``is_constant()``."""
         if not self.is_constant():
             raise ValueError("not a constant rational function")
-        if self.num.is_zero():
-            return self.field.raw_zero
-        return self.num.coeffs[0]
+        return self.num[0] if self.num else self.field.raw_zero
 
     def try_invert(self):
-        if self.num.is_zero():
+        if not self.num:
             return None
-        return _monic_form(self.den, self.num)
+        return _monic_form(self.den, self.num, self.field)
 
     def _combine(self, other, subtract: bool):
         # inputs are canonical (gcd(num, den) = 1), which keeps the final
-        # reduction down to a gcd against the small common den factor
+        # reduction down to a gcd against the common factor g of the dens
+        f = self.field
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        op = f.poly_sub if subtract else f.poly_add
         if d1 == d2:
-            return ratfun_reduce(n1 - n2 if subtract else n1 + n2, d1)
-        g = poly_gcd(d1, d2) if d1.degree() > 0 and d2.degree() > 0 else None
-        if g is None or g.degree() == 0:
-            num = n1 * d2 - n2 * d1 if subtract else n1 * d2 + n2 * d1
-            return _monic_form(num, d1 * d2)
-        e2 = d2 // g
-        left, right = n1 * e2, n2 * (d1 // g)
-        num = left - right if subtract else left + right
-        den = d1 * e2
-        shared = poly_gcd(num, g)
-        if shared.degree() > 0:
-            num, den = num // shared, den // shared
-        return _monic_form(num, den)
+            return ratfun_reduce(op(n1, n2), d1, f)
+        e1, e2, g = _cancel(d1, d2, f)
+        num = op(f.poly_mul(n1, e2), f.poly_mul(n2, e1))
+        den = f.poly_mul(e1, e2)
+        if g is not None:
+            num, g, _ = _cancel(num, g, f)
+            den = f.poly_mul(den, g)
+        return _monic_form(num, den, f)
 
     def __add__(self, other):
         if not self._same_ring(other):
@@ -560,25 +454,20 @@ class RationalFunction(RingElement):
         return self._combine(other, subtract=True)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction(self.field.poly_sub((), self.num), self.den, self.field)
 
     def __mul__(self, other):
         if not self._same_ring(other):
             return NotImplemented
+        f = self.field
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1.degree() == 0 and d2.degree() == 0:
+        if len(d1) == 1 and len(d2) == 1:
             # monic degree-0 denominators are exactly 1: no reduction needed
-            return RationalFunction(n1 * n2, d1)
+            return RationalFunction(f.poly_mul(n1, n2), d1, f)
         # cross-cancel; canonical inputs make the product coprime afterwards
-        if n1.degree() > 0 and d2.degree() > 0:
-            g = poly_gcd(n1, d2)
-            if g.degree() > 0:
-                n1, d2 = n1 // g, d2 // g
-        if n2.degree() > 0 and d1.degree() > 0:
-            g = poly_gcd(n2, d1)
-            if g.degree() > 0:
-                n2, d1 = n2 // g, d1 // g
-        return _monic_form(n1 * n2, d1 * d2)
+        n1, d2, _ = _cancel(n1, d2, f)
+        n2, d1, _ = _cancel(n2, d1, f)
+        return _monic_form(f.poly_mul(n1, n2), f.poly_mul(d1, d2), f)
 
     def _same_ring(self, other):
         if not isinstance(other, RationalFunction):
@@ -596,36 +485,45 @@ class RationalFunction(RingElement):
         )
 
     def __hash__(self):
-        return hash(("RationalFunction", self.num, self.den))
+        return hash(("RationalFunction", self.field.spec, self.num, self.den))
 
     def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+        return f"RationalFunction({list(self.num)!r}, {list(self.den)!r}, {self.field.spec})"
 
 
-def _monic_form(num: Polynomial, den: Polynomial) -> RationalFunction:
+def _cancel(a, b, field):
+    """a // g, b // g and g = gcd(a, b) when g has positive degree, else
+    a, b and None; a constant a or b skips the gcd."""
+    if len(a) > 1 and len(b) > 1:
+        g = field.poly_gcd(a, b)
+        if len(g) > 1:
+            return field.poly_divmod(a, g)[0], field.poly_divmod(b, g)[0], g
+    return a, b, None
+
+
+def _monic_form(num, den, field) -> RationalFunction:
     """Canonical form for an already-coprime pair: monic den, canonical zero."""
-    field = num.field
-    if num.is_zero():
-        return RationalFunction(Polynomial.zero(field), Polynomial.one(field))
-    lead = den.leading()
-    if lead != field.raw_one:
+    if not num:
+        return RationalFunction((), (field.raw_one,), field)
+    lead = den[-1]
+    if lead != 1:
         inv = field.raw_inv(lead)
-        num, den = num.scale(inv), den.scale(inv)
-    return RationalFunction(num, den)
+        num = field._reduce([c * inv for c in num])
+        den = field._reduce([c * inv for c in den])
+    return RationalFunction(num, den, field)
 
 
-def ratfun_reduce(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Canonicalize num/den: cancel the gcd, make the denominator monic.
+def ratfun_reduce(num, den, field) -> RationalFunction:
+    """Canonicalize num/den, two raw coefficient sequences over ``field``
+    (lowest degree first): cancel the gcd, make the denominator monic.
 
     Raises ZeroDenominator when den = 0.
     """
-    if den.is_zero():
+    num, den = field._reduce(list(num)), field._reduce(list(den))
+    if not den:
         raise ZeroDenominator("rational function with zero denominator")
-    if den.degree() > 0 and num.degree() > 0:
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num, den = num // g, den // g
-    return _monic_form(num, den)
+    num, den, _ = _cancel(num, den, field)
+    return _monic_form(num, den, field)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +531,12 @@ def ratfun_reduce(num: Polynomial, den: Polynomial) -> RationalFunction:
 
 
 _TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
-_RATIONAL_TOKEN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_TOKEN = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+
+# Largest t exponent a polynomial token may carry, as the parser allocates
+# one coefficient per power: far above the degree 2 * 256 that the inverse
+# of a generated n <= 256 matrix (entries of degree <= 2) can reach.
+_MAX_T_EXPONENT = 1 << 16
 
 
 def _split_terms(token: str):
@@ -643,17 +546,26 @@ def _split_terms(token: str):
     return terms
 
 
+def _parse_rational(text: str, what: str = "token") -> Fraction:
+    """The rational ``a`` or ``a/b`` of ``text``, matched once."""
+    match = _RATIONAL_TOKEN.match(text)
+    if not match:
+        raise ValueError(f"malformed rational {what} {text!r}")
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    try:
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"zero denominator in {text!r}") from None
+
+
 def _parse_coefficient(text: str) -> Fraction:
     if text in ("", "+"):
         return Fraction(1)
     if text == "-":
         return Fraction(-1)
-    if not _RATIONAL_TOKEN.match(text):
-        raise ValueError(f"malformed rational coefficient {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ZeroDenominator(f"zero denominator in {text!r}") from None
+    return _parse_rational(text, "coefficient")
 
 
 def _join_terms(terms):
@@ -772,18 +684,14 @@ class _CoefficientField(_Ring):
     Raw coefficients are Fractions over QQ and residues in [0, p) over
     GF(p).  The polynomial kernels below work on raw coefficient sequences,
     lowest degree first, with plain + - * and leave every result list to
-    ``_reduce``: the identity over QQ, ``% p`` over GF(p).
+    ``_reduce``, the one home of the canonical form: ``% p`` over GF(p),
+    then no zero leading coefficient.  Inputs are canonical; results are
+    lists.
     """
 
-    @staticmethod
-    def raw_is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def raw_format(a):
-        return str(a)
-
     def _reduce(self, coeffs):
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
         return coeffs
 
     def poly_add(self, a, b):
@@ -811,10 +719,7 @@ class _CoefficientField(_Ring):
         return self._reduce(out)
 
     def poly_divmod(self, a, b):
-        """Quotient and remainder of a by b, whose leading coefficient is nonzero.
-
-        The remainder has at most len(b) - 1 entries, possibly zero on top.
-        """
+        """Quotient and remainder of a by b, whose leading coefficient is nonzero."""
         rem = list(a)
         db = len(b) - 1
         dn = len(rem) - 1
@@ -833,20 +738,12 @@ class _CoefficientField(_Ring):
 
     def poly_gcd(self, a, b):
         """Monic greatest common divisor via the Euclidean algorithm."""
-        a, b = _strip(a), _strip(b)
         while b:
-            a, b = b, _strip(self.poly_divmod(a, b)[1])
+            a, b = b, self.poly_divmod(a, b)[1]
         if a and a[-1] != 1:
             inv = self.raw_inv(a[-1])
-            a = self._reduce([c * inv for c in a])
-        return a
-
-
-def _strip(coeffs) -> list:
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+            return self._reduce([c * inv for c in a])
+        return list(a)
 
 
 class _RationalField(_CoefficientField):
@@ -865,9 +762,7 @@ class _RationalField(_CoefficientField):
         return Rational(n)
 
     def parse(self, token):
-        if not _RATIONAL_TOKEN.match(token):
-            raise ValueError(f"malformed rational token {token!r}")
-        return Rational(_parse_coefficient(token))
+        return Rational(_parse_rational(token))
 
     def format(self, x):
         return str(x.value)
@@ -909,14 +804,6 @@ class _RationalField(_CoefficientField):
             ]
             prev = pivot
         return Rational(Fraction(sign * prev, scale))
-
-    @staticmethod
-    def raw_add(a, b):
-        return a + b
-
-    @staticmethod
-    def raw_neg(a):
-        return -a
 
     @staticmethod
     def raw_mul(a, b):
@@ -1001,12 +888,6 @@ class _PrimeField(_CoefficientField):
             a = out
         return PrimeFieldElement(det, p)
 
-    def raw_add(self, a, b):
-        return (a + b) % self.p
-
-    def raw_neg(self, a):
-        return -a % self.p
-
     def raw_mul(self, a, b):
         return a * b % self.p
 
@@ -1033,7 +914,7 @@ class _PrimeField(_CoefficientField):
 
     def _reduce(self, coeffs):
         p = self.p
-        return [c % p for c in coeffs]
+        return _CoefficientField._reduce(self, [c % p for c in coeffs])
 
 
 @lru_cache(maxsize=None)
@@ -1105,18 +986,17 @@ class _RationalFunctionField(_Ring):
         self.spec = f"ratfun:{base.spec}"
 
     def zero(self):
-        return RationalFunction(Polynomial.zero(self.base), Polynomial.one(self.base))
+        return self.constant(self.base.raw_zero)
 
     def one(self):
-        return RationalFunction(Polynomial.one(self.base), Polynomial.one(self.base))
+        return self.constant(self.base.raw_one)
 
     def from_int(self, n):
         return self.constant(self.base.raw_from_int(n))
 
     def constant(self, raw):
-        return RationalFunction(
-            Polynomial.constant(raw, self.base), Polynomial.one(self.base)
-        )
+        base = self.base
+        return RationalFunction(base._reduce([raw]), (base.raw_one,), base)
 
     def lift(self, x):
         """Embed a base-field element as a constant rational function."""
@@ -1124,13 +1004,11 @@ class _RationalFunctionField(_Ring):
 
     def t_power(self, exponent: int):
         """t**exponent for any integer exponent, negatives included."""
+        base = self.base
+        power = [base.raw_zero] * abs(exponent) + [base.raw_one]
         if exponent >= 0:
-            return RationalFunction(
-                Polynomial.t_power(exponent, self.base), Polynomial.one(self.base)
-            )
-        return RationalFunction(
-            Polynomial.one(self.base), Polynomial.t_power(-exponent, self.base)
-        )
+            return RationalFunction(power, (base.raw_one,), base)
+        return RationalFunction((base.raw_one,), power, base)
 
     def parse(self, token):
         if not token.startswith("("):
@@ -1141,73 +1019,62 @@ class _RationalFunctionField(_Ring):
         num = self._parse_poly(token[1:close])
         rest = token[close + 1 :]
         if not rest:
-            den = Polynomial.one(self.base)
+            den = (self.base.raw_one,)
         elif rest.startswith("/(") and rest.endswith(")"):
             den = self._parse_poly(rest[2:-1])
         else:
             raise ValueError(f"malformed rational function token {token!r}")
-        return ratfun_reduce(num, den)
+        return ratfun_reduce(num, den, self.base)
 
-    def _parse_poly(self, text: str) -> Polynomial:
+    def _parse_poly(self, text: str) -> list:
         base = self.base
         coeffs = {}
         for term in _split_terms(text):
-            if "t" in term:
-                head, _, tail = term.partition("t")
-                if head.endswith("*"):
-                    head = head[:-1]
-                if head in ("", "+"):
-                    coeff = base.raw_one
-                elif head == "-":
-                    coeff = base.raw_neg(base.raw_one)
-                else:
-                    coeff = base.raw_parse(head)
+            head, t, tail = term.partition("t")
+            exp = 0
+            if t:
+                head = head.removesuffix("*")
+                coeff = base.raw_parse(head + "1" if head in ("", "+", "-") else head)
                 if tail == "":
                     exp = 1
                 elif tail.startswith("^") and tail[1:].isdigit():
                     exp = int(tail[1:])
                 else:
                     raise ValueError(f"malformed polynomial term {term!r}")
+                if exp > _MAX_T_EXPONENT:
+                    raise ValueError(f"t exponent in {term!r} above {_MAX_T_EXPONENT}")
             else:
-                coeff, exp = base.raw_parse(term), 0
-            if exp in coeffs:
-                coeffs[exp] = base.raw_add(coeffs[exp], coeff)
-            else:
-                coeffs[exp] = coeff
-        if not coeffs:
-            return Polynomial.zero(base)
+                coeff = base.raw_parse(term)
+            coeffs[exp] = coeffs.get(exp, 0) + coeff
         out = [base.raw_zero] * (max(coeffs) + 1)
         for exp, coeff in coeffs.items():
             out[exp] = coeff
-        return Polynomial(out, base)
+        return out
 
-    def _format_poly(self, poly: Polynomial) -> str:
-        if poly.is_zero():
-            return "0"
-        base = self.base
+    @staticmethod
+    def _format_poly(coeffs) -> str:
         terms = []
-        for exp, coeff in enumerate(poly.coeffs):
-            if base.raw_is_zero(coeff):
+        for exp, coeff in enumerate(coeffs):
+            if not coeff:
                 continue
-            c = base.raw_format(coeff)
             if exp == 0:
-                terms.append(c)
+                terms.append(str(coeff))
             elif exp == 1:
-                terms.append(f"{c}*t")
+                terms.append(f"{coeff}*t")
             else:
-                terms.append(f"{c}*t^{exp}")
-        return _join_terms(terms)
+                terms.append(f"{coeff}*t^{exp}")
+        return _join_terms(terms) if terms else "0"
 
     def format(self, x):
         num = f"({self._format_poly(x.num)})"
-        if x.den.degree() == 0:
+        if len(x.den) == 1:
             return num
         return f"{num}/({self._format_poly(x.den)})"
 
     def random_element(self, rng):
         degree = rng.randint(0, 2)
         coeffs = [self.base.raw_from_int(rng.randint(-4, 4)) for _ in range(degree + 1)]
-        return ratfun_reduce(Polynomial(coeffs, self.base), Polynomial.one(self.base))
+        return ratfun_reduce(coeffs, (self.base.raw_one,), self.base)
 
 
 @lru_cache(maxsize=None)

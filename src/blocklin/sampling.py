@@ -21,6 +21,10 @@ __all__ = [
 ]
 
 
+# Draws a constrained generation makes before it gives up.
+_MAX_DRAWS = 500
+
+
 class GenerationFailed(BlocklinError):
     """A constrained random generation did not succeed within its budget."""
 
@@ -37,12 +41,12 @@ def random_matrix(ring, depth: int, rng: random.Random) -> BlockMatrix:
     return BlockMatrix.quad(*(random_matrix(ring, depth - 1, rng) for _ in range(4)))
 
 
-def random_invertible(ring, depth: int, rng: random.Random, max_tries: int = 500) -> BlockMatrix:
-    for _ in range(max_tries):
+def random_invertible(ring, depth: int, rng: random.Random) -> BlockMatrix:
+    for _ in range(_MAX_DRAWS):
         candidate = random_matrix(ring, depth, rng)
         if is_invertible(candidate):
             return candidate
-    raise GenerationFailed(f"no invertible matrix over {ring.spec} in {max_tries} draws")
+    raise GenerationFailed(f"no invertible matrix over {ring.spec} in {_MAX_DRAWS} draws")
 
 
 def random_triangular(
@@ -89,9 +93,7 @@ def _random_singular_dense(ring, n: int, rng: random.Random) -> DenseMatrix:
     return DenseMatrix(n, rows, ring)
 
 
-def random_all_blocks_singular(
-    ring, depth: int, rng: random.Random, max_tries: int = 500
-) -> BlockMatrix:
+def random_all_blocks_singular(ring, depth: int, rng: random.Random) -> BlockMatrix:
     """Invertible matrix whose four half-size blocks are each singular.
 
     Every quadrant is drawn singular by construction, and the assembled
@@ -104,11 +106,11 @@ def random_all_blocks_singular(
     if not ring.commutative:
         raise GenerationFailed("all-blocks-singular generation needs a commutative ring")
     half = 1 << (depth - 1)
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         quads = [bm.from_dense(_random_singular_dense(ring, half, rng)) for _ in range(4)]
         candidate = BlockMatrix.quad(*quads)
         if is_invertible(candidate):
             return candidate
     raise GenerationFailed(
-        f"no invertible all-blocks-singular matrix over {ring.spec} in {max_tries} draws"
+        f"no invertible all-blocks-singular matrix over {ring.spec} in {_MAX_DRAWS} draws"
     )

@@ -306,6 +306,17 @@ def test_unreadable_inputs_exit_usage(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_huge_t_exponent_exits_usage(tmp_path, capsys):
+    # the parser would allocate one coefficient per power of t
+    m = tmp_path / "huge.mat"
+    m.write_text("ring ratfun:q\nsize 1\n(t^100000000000000000000)\n")
+    capsys.readouterr()
+    assert run("invert", str(m)) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert "internal error" not in err
+
+
 def test_unexpected_error_exits_internal(tmp_path, monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
