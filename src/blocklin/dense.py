@@ -5,8 +5,9 @@ the block algorithms, which never use them internally: the products of the
 CLI's ``check`` (:func:`dense_mul`), the invertibility decision,
 determinants and Gauss-Jordan inversion.  Products and eliminations run
 on the ring's own row kernels, ``ring.dot_rows`` and
-``ring.pivot_product``: integers over a common denominator over QQ, raw
-residues over GF(p), scalar objects elsewhere.  ``blockmat.mul`` runs on
+``ring.pivot_product``: integers over a common denominator over QQ (and,
+for products, over QQ_I and QUAT), raw residues over GF(p), scalar
+objects elsewhere.  ``blockmat.mul`` runs on
 the same ``dot_rows``, so the tests hold both to a schoolbook product of
 their own and to sympy.
 """

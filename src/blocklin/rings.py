@@ -24,9 +24,12 @@ denominator as tuples of these raw coefficients and computes only through
 the kernels.
 
 Each ring handle also owns the row kernels of matrix code, ``dot_rows``
-(dot products) and ``pivot_product`` (forward elimination): on integers
-over common denominators for QQ, on raw residues for GF(p), and on scalar
-objects elsewhere.
+(dot products) and ``pivot_product`` (forward elimination).  ``dot_rows``
+runs on integers over common denominators for QQ, QQ_I and QUAT (the
+latter two through one kernel read from each algebra's structure table),
+on raw residues for GF(p), and on scalar objects only for K(t) and the
+lift field.  ``pivot_product`` runs on integers for QQ, on residues for
+GF(p), and on scalar objects elsewhere.
 
 One more ring, with no file syntax and no spec, lives in
 :mod:`blocklin.cyclotomic`: the finite field GF(p)[t]/Phi_l in which the
@@ -42,7 +45,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ZeroDenominator
 
@@ -102,11 +105,45 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def _over_common_denominator(scalars):
-    """Integers a and d > 0 with a[k] / d the k-th rational of ``scalars``."""
-    values = [s.value for s in scalars]
+def _over_common_denominator(values):
+    """Integers a and d > 0 with a[k] / d the Fraction ``values[k]``."""
     d = lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _primitive(coeffs):
+    """Coprime integers proportional to a list of Fractions or ints."""
+    ints, _ = _over_common_denominator(coeffs)
+    content = gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
+
+
+def _component_dot_rows(rows, cols, parts, signs, make):
+    """``dot_rows`` of an algebra over QQ with basis e_0 = 1, e_1, ... in
+    which e_p * e_q = signs[p][q] * e_(p xor q), left factor first.
+
+    ``parts`` read a scalar's rational components and ``make`` builds one
+    from them.  All components of a row (a column) come over one common
+    denominator d (e), laid end to end.  Output component c of an entry is
+    then one integer dot product of the column with the row's blocks
+    e_(c xor q), signed, for q = 0, 1, ..., and one Fraction over d * e.
+    """
+    k = len(parts)
+    right = [_over_common_denominator([part(s) for part in parts for s in col]) for col in cols]
+    out = []
+    for row in rows:
+        ints, d = _over_common_denominator([part(s) for part in parts for s in row])
+        n = len(row)
+        blocks = [ints[p * n : (p + 1) * n] for p in range(k)]
+        negated = [[-x for x in block] for block in blocks]
+        left = [
+            [x for q in range(k) for x in (blocks if signs[c ^ q][q] > 0 else negated)[c ^ q]]
+            for c in range(k)
+        ]
+        out.append(
+            [make(*[Fraction(sum(map(operator.mul, a, b)), d * e) for a in left]) for b, e in right]
+        )
+    return out
 
 
 class RingElement:
@@ -627,6 +664,8 @@ class _Ring:
     def dot_rows(self, rows, cols):
         """Row lists: entry (i, j) is the dot product of rows[i] and cols[j].
 
+        This scalar-object kernel serves K(t) and the lift field; QQ, GF(p),
+        QQ_I and QUAT override it with kernels on integers or residues.
         Products are taken left times right and summed in adjacent pairs,
         level by level, an odd last term carried up unchanged: at
         power-of-two lengths the order of the block recursion, whose
@@ -772,8 +811,8 @@ class _RationalField(_CoefficientField):
 
     def dot_rows(self, rows, cols):
         # delayed reduction: integer dot products, one Fraction gcd per entry
-        left = [_over_common_denominator(row) for row in rows]
-        right = [_over_common_denominator(col) for col in cols]
+        left = [_over_common_denominator([s.value for s in row]) for row in rows]
+        right = [_over_common_denominator([s.value for s in col]) for col in cols]
         return [
             [Rational(Fraction(sum(map(operator.mul, a, b)), d * e)) for b, e in right]
             for a, d in left
@@ -785,7 +824,7 @@ class _RationalField(_CoefficientField):
         # previous pivot, and the last pivot is +-det * prod(d_i)
         a, scale = [], 1
         for row in rows:
-            ints, d = _over_common_denominator(row)
+            ints, d = _over_common_denominator([s.value for s in row])
             a.append(ints)
             scale *= d
         sign, prev = 1, 1
@@ -804,6 +843,20 @@ class _RationalField(_CoefficientField):
             ]
             prev = pivot
         return Rational(Fraction(sign * prev, scale))
+
+    def poly_gcd(self, a, b):
+        # primitive remainder sequence on integer coefficients, content
+        # removed at each step: Euclid on Fractions lets the coefficients
+        # blow up along the remainder sequence
+        a, b = _primitive(a), _primitive(b)
+        while b:
+            rem, lead = a, b[-1]
+            while len(rem) >= len(b):
+                g = gcd(lead, rem[-1])
+                scale, top, pad = lead // g, rem[-1] // g, [0] * (len(rem) - len(b))
+                rem = self._reduce([scale * x - top * y for x, y in zip(rem, pad + b)])
+            a, b = b, _primitive(rem)
+        return [Fraction(c, a[-1]) for c in a] if a else []
 
     @staticmethod
     def raw_mul(a, b):
@@ -929,6 +982,14 @@ def GF(p: int) -> _PrimeField:
     return _PrimeField(p)
 
 
+# _component_dot_rows signs in the bases 1, i of QQ_I and 1, i, j, k of
+# QUAT, where i*i = j*j = k*k = -1 and i*j = k = -j*i, cyclically
+_GAUSSIAN_PARTS = (operator.attrgetter("re"), operator.attrgetter("im"))
+_GAUSSIAN_SIGNS = ((1, 1), (1, -1))
+_QUATERNION_PARTS = tuple(operator.attrgetter(name) for name in "abcd")
+_HAMILTON_SIGNS = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
+
+
 class _GaussianRationalField(_Ring):
     spec = "qi"
 
@@ -949,6 +1010,9 @@ class _GaussianRationalField(_Ring):
 
     def random_element(self, rng):
         return GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+
+    def dot_rows(self, rows, cols):
+        return _component_dot_rows(rows, cols, _GAUSSIAN_PARTS, _GAUSSIAN_SIGNS, GaussianRational)
 
 
 QQ_I = _GaussianRationalField()
@@ -975,6 +1039,9 @@ class _QuaternionRing(_Ring):
 
     def random_element(self, rng):
         return Quaternion(*(rng.randint(-5, 5) for _ in range(4)))
+
+    def dot_rows(self, rows, cols):
+        return _component_dot_rows(rows, cols, _QUATERNION_PARTS, _HAMILTON_SIGNS, Quaternion)
 
 
 QUAT = _QuaternionRing()

@@ -1,11 +1,13 @@
 import operator
 import random
 import zlib
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 
-from blocklin import DenseMatrix, QQ, from_dense
+from blocklin import QQ, QQ_I, QUAT, DenseMatrix, GaussianRational, Quaternion, Rational, from_dense
+from blocklin.rings import is_prime
 
 
 def stable_seed(*parts) -> int:
@@ -22,6 +24,33 @@ def schoolbook_mul(a, b):
         for i in range(n)
     ]
     return DenseMatrix(n, rows, a.ring)
+
+
+PRIMES = [p for p in range(3, 1000) if is_prime(p)]
+COMPONENTS = {QQ: (Rational, 1), QQ_I: (GaussianRational, 2), QUAT: (Quaternion, 4)}
+
+
+def mixed_denominator_operands(ring, n):
+    """Two n x n operands over QQ, QQ_I or QUAT, whose k components per entry
+    carry pairwise coprime prime denominators: component c of x[i][j] has
+    the prime PRIMES[c*n + j], of y[i][j] the prime PRIMES[(k + c)*n + i].
+    So a row of x and a column of y each come over a product of up to k*n
+    distinct primes.  About one numerator in five is zero, and for n > 1
+    x has an all-zero row and y an all-zero column."""
+    make, k = COMPONENTS[ring]
+    x = [
+        [make(*(Fraction((3 * i + 5 * j + 7 * c) % 5 - 2, PRIMES[c * n + j]) for c in range(k))) for j in range(n)]
+        for i in range(n)
+    ]
+    y = [
+        [make(*(Fraction((2 * i + 3 * j + c) % 5 - 2, PRIMES[(k + c) * n + i]) for c in range(k))) for j in range(n)]
+        for i in range(n)
+    ]
+    if n > 1:
+        x[n // 2] = [ring.zero()] * n
+        for row in y:
+            row[n // 3] = ring.zero()
+    return DenseMatrix(n, x, ring), DenseMatrix(n, y, ring)
 
 
 def ring_dense(ring, rows):

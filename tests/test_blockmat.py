@@ -31,10 +31,9 @@ from blocklin import (
     zero_matrix,
 )
 from blocklin.cyclotomic import lift_field
-from blocklin.rings import is_prime
 from blocklin.sampling import random_dense, random_matrix
 
-from conftest import grid, ring_dense, ring_mat, schoolbook_mul, stable_seed
+from conftest import COMPONENTS, grid, mixed_denominator_operands, ring_dense, ring_mat, schoolbook_mul, stable_seed
 
 RINGS = [QQ, GF(7), QQ_I, QUAT, RatFun(GF(2))]
 
@@ -251,15 +250,6 @@ def kernel_operands(ring, n, rng):
     return [(x, y), (nil, y), (x, eye), (eye, y)] if n <= 8 else [(x, y)]
 
 
-def coprime_denominator_operands(n):
-    """QQ rows and columns whose 2n denominators are pairwise coprime primes,
-    so every common denominator is the product of n primes."""
-    primes = [p for p in range(3, 2000) if is_prime(p)][: 2 * n]
-    x = [[Rational(i - k - 1, primes[k]) for k in range(n)] for i in range(n)]
-    y = [[Rational(j + k + 2, primes[n + k]) for j in range(n)] for k in range(n)]
-    return DenseMatrix(n, x, QQ), DenseMatrix(n, y, QQ)
-
-
 KERNEL_RINGS = [QQ, QQ_I, QUAT, GF(2), GF(7), GF(65521), GF(2**61 - 1), RatFun(QQ), RatFun(GF(7)), LIFT]
 
 
@@ -269,8 +259,8 @@ def test_mul_kernel_matches_dense_product_and_recursion_counts(ring):
     for depth in range(6):
         n = 1 << depth
         pairs = kernel_operands(ring, n, rng)
-        if ring is QQ:
-            pairs.append(coprime_denominator_operands(n))
+        if ring is QQ or ring in COMPONENTS and n <= 16:
+            pairs.append(mixed_denominator_operands(ring, n))
         for dx, dy in pairs:
             counter = OpCounter()
             product = mul(from_dense(dx), from_dense(dy), counter)

@@ -28,7 +28,7 @@ from blocklin.cyclotomic import lift_field
 from blocklin.rings import _Ring
 from blocklin.sampling import random_dense
 
-from conftest import schoolbook_mul, stable_seed
+from conftest import COMPONENTS, mixed_denominator_operands, schoolbook_mul, stable_seed
 
 LIFT = lift_field(7, 8)
 KERNEL_RINGS = [QQ, QQ_I, QUAT, GF(2), GF(7), RatFun(QQ), RatFun(GF(7)), LIFT]
@@ -49,8 +49,11 @@ def draw(ring, n, rng):
 def test_dense_mul_matches_schoolbook_at_sizes_not_powers_of_two(ring):
     rng = random.Random(stable_seed("dense-kernel", ring.spec))
     for n in ODD_SIZES:
-        x, y = draw(ring, n, rng), draw(ring, n, rng)
-        assert dense_mul(x, y) == schoolbook_mul(x, y), (ring.spec, n)
+        pairs = [(draw(ring, n, rng), draw(ring, n, rng))]
+        if ring in COMPONENTS:
+            pairs.append(mixed_denominator_operands(ring, n))
+        for x, y in pairs:
+            assert dense_mul(x, y) == schoolbook_mul(x, y), (ring.spec, n)
 
 
 @pytest.mark.parametrize("n", ODD_SIZES)

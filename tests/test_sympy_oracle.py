@@ -7,12 +7,21 @@ and the products of :func:`dense_mul`, on seeded inputs of every size from
 kernels, which ``blockmat.mul`` shares, so a kernel fault could fool the
 package's own checks; it cannot fool sympy.
 
+Over the Gaussian rationals, sympy's ``QQ_I`` checks ``dense_mul`` and the
+inverses of :func:`auto_invert` on both of its routes: Schur on generic
+input and the star-Gram route on all-blocks-singular input.  sympy has no
+quaternion domain, so quaternion inverses from both routes are held to
+M X = X M = I under the tests' schoolbook product, which shares no kernel
+with the package.
+
 sympy's ``K.frac_field(t)`` checks the rational functions over QQ, GF(2)
 and GF(7) in the same way: sums, differences, products, inverses,
-negations and the token syntax (parse, then format) of ``RatFun(K)``.
+negations and the token syntax (parse, then format) of ``RatFun(K)``;
+sympy's ``QQ[t]`` checks the polynomial gcd over QQ on long inputs.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,18 +32,29 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from blocklin import (  # noqa: E402
     GF,
     QQ,
+    QQ_I,
+    QUAT,
     DenseMatrix,
+    PivotBlockSingular,
     PrimeFieldElement,
+    Quaternion,
     RatFun,
     Rational,
+    auto_invert,
     dense_determinant,
+    dense_identity,
     dense_mul,
+    from_dense,
+    invert_gram_star,
     is_invertible,
+    schur_invert,
+    to_dense,
     ZeroDenominator,
     ratfun_reduce,
 )
+from blocklin.sampling import random_all_blocks_singular  # noqa: E402
 
-from conftest import stable_seed  # noqa: E402
+from conftest import COMPONENTS, schoolbook_mul, stable_seed, witness_all_blocks_singular  # noqa: E402
 
 MODULI = [None, 2, 7, 65521]  # None is QQ
 
@@ -104,6 +124,98 @@ def test_kernels_agree_with_sympy(p):
             ], (p, n)
     # both decisions are exercised on every field
     assert decisions[True] and decisions[False]
+
+
+# -- Gaussian rationals against sympy's QQ_I, quaternions by schoolbook -----
+
+DEPTHS = [0, 1, 2, 3]  # n = 1, 2, 4, 8
+
+
+def component(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.8 else Fraction(0)
+
+
+def draw_components(ring, n, rng):
+    make, k = COMPONENTS[ring]
+    rows = [[make(*(component(rng) for _ in range(k))) for _ in range(n)] for _ in range(n)]
+    return DenseMatrix(n, rows, ring)
+
+
+def generic_invertible(ring, depth, rng):
+    """A draw with rational components on which Schur succeeds."""
+    while True:
+        m = from_dense(draw_components(ring, 1 << depth, rng))
+        if is_invertible(m):
+            schur_invert(m)
+            return m
+
+
+def sympy_qq_i(m):
+    to_qq = lambda x: sympy.QQ(x.numerator, x.denominator)
+    entries = [[sympy.QQ_I(to_qq(x.re), to_qq(x.im)) for x in row] for row in m.rows]
+    return DomainMatrix(entries, (m.n, m.n), sympy.QQ_I)
+
+
+def plain_qq_i(rows):
+    as_fraction = lambda x: Fraction(int(x.numerator), int(x.denominator))
+    return [[(as_fraction(x.x), as_fraction(x.y)) for x in row] for row in rows]
+
+
+def ours_qq_i(m):
+    return [[(x.re, x.im) for x in row] for row in m.rows]
+
+
+def all_blocks_singular_inputs(ring):
+    """The 4x4 witness, then a seeded 8x8 whose quadrants are all singular;
+    over QUAT the 8x8 QQ draw is multiplied by block-diagonal quaternion
+    factors on both sides, which keeps every quadrant singular."""
+    yield witness_all_blocks_singular(ring)
+    rng = random.Random(stable_seed("all-singular-oracle", ring.spec))
+    if ring is QQ_I:
+        yield random_all_blocks_singular(QQ_I, 3, rng)
+        return
+    rows = to_dense(random_all_blocks_singular(QQ, 3, rng)).rows
+    m = DenseMatrix(8, [[Quaternion(x.value) for x in row] for row in rows], QUAT)
+    zero = [[QUAT.zero()] * 4 for _ in range(4)]
+    for side in range(2):
+        top, bottom = (to_dense(generic_invertible(QUAT, 2, rng)).rows for _ in range(2))
+        factor = DenseMatrix(8, [a + b for a, b in zip(top, zero)] + [a + b for a, b in zip(zero, bottom)], QUAT)
+        m = schoolbook_mul(factor, m) if side == 0 else schoolbook_mul(m, factor)
+    yield from_dense(m)
+
+
+def routes(ring):
+    """(input, route) pairs: Schur on generic input at n = 1, 2, 4, 8, and
+    the star-Gram route on all-blocks-singular input at n = 4 and 8."""
+    rng = random.Random(stable_seed("route-oracle", ring.spec))
+    for depth in DEPTHS:
+        yield generic_invertible(ring, depth, rng), schur_invert
+    for m in all_blocks_singular_inputs(ring):
+        with pytest.raises(PivotBlockSingular):
+            schur_invert(m)
+        yield m, invert_gram_star
+
+
+def test_qq_i_products_and_inverses_agree_with_sympy():
+    rng = random.Random(stable_seed("sympy-qq-i"))
+    for n in range(1, 9):
+        x, y = draw_components(QQ_I, n, rng), draw_components(QQ_I, n, rng)
+        want = (sympy_qq_i(x) * sympy_qq_i(y)).to_list()
+        assert ours_qq_i(dense_mul(x, y)) == plain_qq_i(want), n
+    for m, route in routes(QQ_I):
+        inverse = auto_invert(m)
+        assert inverse == route(m)
+        want = sympy_qq_i(to_dense(m)).inv().to_list()
+        assert ours_qq_i(to_dense(inverse)) == plain_qq_i(want), m.dimension
+
+
+def test_quaternion_inverses_are_two_sided_under_schoolbook():
+    for m, route in routes(QUAT):
+        inverse = auto_invert(m)
+        assert inverse == route(m)
+        dm, dx = to_dense(m), to_dense(inverse)
+        eye = dense_identity(dm.n, QUAT)
+        assert schoolbook_mul(dm, dx) == eye and schoolbook_mul(dx, dm) == eye, dm.n
 
 
 # -- rational functions: K(t) against sympy's K.frac_field(t) -----------------
@@ -246,3 +358,28 @@ def test_ratfun_tokens_agree_with_sympy(p):
         assert ours_plain(x) == plain_ratfun(p, want), token
         canonical = ring.format(x)
         assert plain_ratfun(p, sympy_parse(p, canonical)) == plain_ratfun(p, want), token
+
+
+def long_poly_token(rng, degree):
+    return "+".join(f"{rng.randint(1, 9)}*t^{e}" for e in range(degree + 1))
+
+
+def test_qq_poly_gcd_of_long_inputs_agrees_with_sympy():
+    """Euclid on Fractions blows up along the remainder sequence: a token of
+    two degree-100 polynomials took seconds to parse before the gcd over QQ
+    ran on primitive integer remainders."""
+    rng = random.Random(stable_seed("long-gcd"))
+    token = f"({long_poly_token(rng, 100)})/({long_poly_token(rng, 100)})"
+    start = time.perf_counter()
+    x = RatFun(QQ).parse(token)
+    assert time.perf_counter() - start < 1.0
+    assert ours_plain(x) == plain_ratfun(None, sympy_parse(None, token))
+    t = sympy.Symbol("t")
+    as_poly = lambda coeffs: sympy.Poly(list(reversed(coeffs)), t, domain=sympy.QQ)
+    entry = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    for degree in (30, 60, 100):
+        common = draw_poly(None, rng) + [Fraction(rng.randint(1, 9))]
+        a, b = (QQ.poly_mul(common, [entry() for _ in range(degree)] + [Fraction(1)]) for _ in range(2))
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(as_poly(a).gcd(as_poly(b)).all_coeffs())]
+        assert QQ.poly_gcd(a, b) == want, degree
+        assert len(want) >= len(common)
