@@ -1,15 +1,16 @@
-"""Recursive 2x2 block (quadtree) matrices with instrumented ring operations.
+"""Recursive 2x2 block matrices with instrumented ring operations.
 
 A :class:`BlockMatrix` of depth k represents a 2**k x 2**k matrix as either
 a scalar leaf or four equal-depth quadrants A (top-left), B (top-right),
-C (bottom-left), D (bottom-right).  The public surface deliberately offers
-no row or column access: algorithms built on it operate on whole blocks
-only, and convert through :class:`~blocklin.dense.DenseMatrix` solely at
-the I/O and oracle boundary.  Inside this module, :func:`mul` is the one
-exception: its kernel reads both operands' leaves row-major with the same
-pair of quadtree walks that :func:`to_dense` and :func:`from_dense` use,
-takes every output entry as one dot product of the ring's own row kernel
-(``ring.dot_rows``), and hands back a quadtree.
+C (bottom-left), D (bottom-right).  It stores its entries as one tuple of
+row tuples: :meth:`BlockMatrix.quad` joins the quadrants' rows, and each
+quadrant property slices out its own.  The public surface deliberately
+offers no row or column access: algorithms built on it operate on whole
+blocks only, and convert through :class:`~blocklin.dense.DenseMatrix`
+solely at the I/O and oracle boundary.  Inside this module every
+operation is one pass over the rows; :func:`mul` hands both operands'
+rows to the ring's own row kernel (``ring.dot_rows``), which takes every
+output entry as one dot product.
 
 Every arithmetic operation threads an optional :class:`OpCounter` tallying
 base-scalar multiplications, divisions, additions, and t-power scalings.
@@ -22,6 +23,8 @@ its own counter and the counters are merged afterwards.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .dense import DenseMatrix
 from .errors import DepthMismatch, NonPowerOfTwo
@@ -92,45 +95,59 @@ class OpCounter:
 
 
 class BlockMatrix:
-    """A 2**k x 2**k matrix stored as a quadtree; immutable."""
+    """A 2**k x 2**k matrix stored as one tuple of row tuples; immutable."""
 
-    __slots__ = ("depth", "scalar", "blocks")
+    __slots__ = ("depth", "_rows")
 
-    def __init__(self, depth, scalar=None, blocks=None):
+    def __init__(self, rows, depth):
+        self._rows = rows
         self.depth = depth
-        self.scalar = scalar
-        self.blocks = blocks
 
     @classmethod
     def leaf(cls, scalar) -> "BlockMatrix":
-        return cls(0, scalar=scalar)
+        return cls(((scalar,),), 0)
 
     @classmethod
     def quad(cls, a, b, c, d) -> "BlockMatrix":
         depth = a.depth
         if not (b.depth == depth and c.depth == depth and d.depth == depth):
             raise DepthMismatch("quadrants must share one depth")
-        return cls(depth + 1, blocks=(a, b, c, d))
+        top = tuple(map(operator.add, a._rows, b._rows))
+        return cls(top + tuple(map(operator.add, c._rows, d._rows)), depth + 1)
+
+    def _quadrant(self, down, right):
+        half = 1 << (self.depth - 1)
+        cols = slice(right * half, right * half + half)
+        rows = self._rows[down * half : down * half + half]
+        return BlockMatrix(tuple(row[cols] for row in rows), self.depth - 1)
 
     @property
     def is_leaf(self) -> bool:
-        return self.blocks is None
+        return self.depth == 0
+
+    @property
+    def scalar(self):
+        return None if self.depth else self._rows[0][0]
+
+    @property
+    def blocks(self):
+        return (self.a, self.b, self.c, self.d) if self.depth else None
 
     @property
     def a(self):
-        return self.blocks[0]
+        return self._quadrant(0, 0)
 
     @property
     def b(self):
-        return self.blocks[1]
+        return self._quadrant(0, 1)
 
     @property
     def c(self):
-        return self.blocks[2]
+        return self._quadrant(1, 0)
 
     @property
     def d(self):
-        return self.blocks[3]
+        return self._quadrant(1, 1)
 
     @property
     def dimension(self) -> int:
@@ -138,17 +155,14 @@ class BlockMatrix:
 
     @property
     def ring(self):
-        node = self
-        while not node.is_leaf:
-            node = node.blocks[0]
-        return node.scalar.ring
+        return self._rows[0][0].ring
 
     def __eq__(self, other):
-        if not isinstance(other, BlockMatrix) or self.depth != other.depth:
-            return False
-        if self.is_leaf:
-            return self.scalar == other.scalar
-        return all(x == y for x, y in zip(self.blocks, other.blocks))
+        return (
+            isinstance(other, BlockMatrix)
+            and self.depth == other.depth
+            and self._rows == other._rows
+        )
 
     def __repr__(self):
         return f"BlockMatrix(depth={self.depth}, dim={self.dimension})"
@@ -160,55 +174,24 @@ def _check_depth(x: BlockMatrix, y: BlockMatrix):
 
 
 def identity(depth: int, ring) -> BlockMatrix:
-    if depth == 0:
-        return BlockMatrix.leaf(ring.one())
-    eye = identity(depth - 1, ring)
-    off = zero_matrix(depth - 1, ring)
-    return BlockMatrix.quad(eye, off, off, eye)
+    n = 1 << depth
+    zero, one = ring.zero(), ring.one()
+    rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return BlockMatrix(rows, depth)
 
 
 def zero_matrix(depth: int, ring) -> BlockMatrix:
-    if depth == 0:
-        return BlockMatrix.leaf(ring.zero())
-    block = zero_matrix(depth - 1, ring)
-    return BlockMatrix.quad(block, block, block, block)
+    n = 1 << depth
+    return BlockMatrix(((ring.zero(),) * n,) * n, depth)
 
 
 def map_leaves(m: BlockMatrix, fn) -> BlockMatrix:
-    """Rebuild m with fn applied to every scalar leaf."""
-    if m.is_leaf:
-        return BlockMatrix.leaf(fn(m.scalar))
-    return BlockMatrix.quad(*(map_leaves(child, fn) for child in m.blocks))
+    """Rebuild m with fn applied to every scalar entry."""
+    return BlockMatrix(tuple(tuple(map(fn, row)) for row in m._rows), m.depth)
 
 
 # ---------------------------------------------------------------------------
 # dense conversions and embedding
-
-
-def _leaf_rows(m: BlockMatrix) -> list:
-    """m's scalars as row lists, read by one level-order walk of the quadtree."""
-    grid = [[m]]
-    for _ in range(m.depth):
-        grid = [
-            [quad for node in row for quad in node.blocks[half : half + 2]]
-            for row in grid
-            for half in (0, 2)
-        ]
-    return [[node.scalar for node in row] for row in grid]
-
-
-def _from_rows(rows, depth: int) -> BlockMatrix:
-    """The quadtree whose row lists are ``rows``; the inverse of :func:`_leaf_rows`."""
-    grid = [[BlockMatrix(0, scalar) for scalar in row] for row in rows]
-    for level in range(1, depth + 1):
-        grid = [
-            [
-                BlockMatrix(level, None, (top[j], top[j + 1], bottom[j], bottom[j + 1]))
-                for j in range(0, len(top), 2)
-            ]
-            for top, bottom in zip(grid[::2], grid[1::2])
-        ]
-    return grid[0][0]
 
 
 def from_dense(dense: DenseMatrix) -> BlockMatrix:
@@ -216,11 +199,11 @@ def from_dense(dense: DenseMatrix) -> BlockMatrix:
     n = dense.n
     if n < 1 or n & (n - 1):
         raise NonPowerOfTwo(f"{n} is not a power of two; use embed() instead")
-    return _from_rows(dense.rows, n.bit_length() - 1)
+    return BlockMatrix(tuple(map(tuple, dense.rows)), n.bit_length() - 1)
 
 
 def to_dense(m: BlockMatrix) -> DenseMatrix:
-    return DenseMatrix(m.dimension, _leaf_rows(m), m.ring)
+    return DenseMatrix(m.dimension, m._rows, m.ring)
 
 
 def embed(dense: DenseMatrix) -> BlockMatrix:
@@ -253,36 +236,23 @@ def embed(dense: DenseMatrix) -> BlockMatrix:
 # ring operations
 
 
-def add(x: BlockMatrix, y: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:
+def _entrywise(op, x, y, counter):
     counter = counter if counter is not None else OpCounter()
     _check_depth(x, y)
-    return _add(x, y, counter)
+    counter.add_count += x.dimension**2
+    return BlockMatrix(tuple(tuple(map(op, p, q)) for p, q in zip(x._rows, y._rows)), x.depth)
 
 
-def _add(x, y, counter):
-    if x.is_leaf:
-        counter.add_count += 1
-        return BlockMatrix.leaf(x.scalar + y.scalar)
-    return BlockMatrix.quad(*(_add(p, q, counter) for p, q in zip(x.blocks, y.blocks)))
+def add(x: BlockMatrix, y: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:
+    return _entrywise(operator.add, x, y, counter)
 
 
 def sub(x: BlockMatrix, y: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:
-    counter = counter if counter is not None else OpCounter()
-    _check_depth(x, y)
-    return _sub(x, y, counter)
-
-
-def _sub(x, y, counter):
-    if x.is_leaf:
-        counter.add_count += 1
-        return BlockMatrix.leaf(x.scalar - y.scalar)
-    return BlockMatrix.quad(*(_sub(p, q, counter) for p, q in zip(x.blocks, y.blocks)))
+    return _entrywise(operator.sub, x, y, counter)
 
 
 def negate(x: BlockMatrix) -> BlockMatrix:
-    if x.is_leaf:
-        return BlockMatrix.leaf(-x.scalar)
-    return BlockMatrix.quad(*(negate(child) for child in x.blocks))
+    return map_leaves(x, operator.neg)
 
 
 def mul(
@@ -296,7 +266,7 @@ def mul(
     ``naive`` is priced as the recursion through 8 half-size products and 4
     block additions: n**3 scalar multiplications and n**2 * (n - 1)
     additions, tallied once per call.  It runs as one dense kernel that
-    reads both operands' leaves into rows and takes every output entry as
+    hands both operands' rows to the ring and takes every output entry as
     one dot product.  ``strassen`` recurses through 7 products and 18 block
     additions.  Neither shortcuts zero or identity operands, so counts stay
     shape-determined, and neither commutes factors, so both remain valid
@@ -315,15 +285,15 @@ def _mul_dense(x, y, counter):
     if x.is_leaf:
         # one scalar product; the scalar types reject mixed rings themselves
         counter.mul_count += 1
-        return BlockMatrix(0, x.scalar * y.scalar)
+        return BlockMatrix.leaf(x.scalar * y.scalar)
     ring = x.ring
     if y.ring is not ring:
         raise TypeError(f"cannot multiply matrices over {ring!r} and {y.ring!r}")
-    out = ring.dot_rows(_leaf_rows(x), zip(*_leaf_rows(y)))
+    out = ring.dot_rows(x._rows, zip(*y._rows))
     n = x.dimension
     counter.mul_count += n**3
     counter.add_count += n * n * (n - 1)
-    return _from_rows(out, x.depth)
+    return BlockMatrix(tuple(map(tuple, out)), x.depth)
 
 
 def _mul_strassen(x, y, counter):
@@ -333,72 +303,64 @@ def _mul_strassen(x, y, counter):
     a, b, c, d = x.blocks
     e, f, g, h = y.blocks
     rec = _mul_strassen
-    m1 = rec(_add(a, d, counter), _add(e, h, counter), counter)
-    m2 = rec(_add(c, d, counter), e, counter)
-    m3 = rec(a, _sub(f, h, counter), counter)
-    m4 = rec(d, _sub(g, e, counter), counter)
-    m5 = rec(_add(a, b, counter), h, counter)
-    m6 = rec(_sub(c, a, counter), _add(e, f, counter), counter)
-    m7 = rec(_sub(b, d, counter), _add(g, h, counter), counter)
-    top_left = _add(_sub(_add(m1, m4, counter), m5, counter), m7, counter)
-    top_right = _add(m3, m5, counter)
-    bottom_left = _add(m2, m4, counter)
-    bottom_right = _add(_add(_sub(m1, m2, counter), m3, counter), m6, counter)
+    m1 = rec(add(a, d, counter), add(e, h, counter), counter)
+    m2 = rec(add(c, d, counter), e, counter)
+    m3 = rec(a, sub(f, h, counter), counter)
+    m4 = rec(d, sub(g, e, counter), counter)
+    m5 = rec(add(a, b, counter), h, counter)
+    m6 = rec(sub(c, a, counter), add(e, f, counter), counter)
+    m7 = rec(sub(b, d, counter), add(g, h, counter), counter)
+    top_left = add(sub(add(m1, m4, counter), m5, counter), m7, counter)
+    top_right = add(m3, m5, counter)
+    bottom_left = add(m2, m4, counter)
+    bottom_right = add(add(sub(m1, m2, counter), m3, counter), m6, counter)
     return BlockMatrix.quad(top_left, top_right, bottom_left, bottom_right)
 
 
 def transpose(m: BlockMatrix) -> BlockMatrix:
-    if m.is_leaf:
-        return m
-    a, b, c, d = m.blocks
-    return BlockMatrix.quad(transpose(a), transpose(c), transpose(b), transpose(d))
+    return BlockMatrix(tuple(zip(*m._rows)), m.depth)
 
 
 def adjoint(m: BlockMatrix) -> BlockMatrix:
-    """Transpose with the scalar involution applied at every leaf."""
-    if m.is_leaf:
-        return BlockMatrix.leaf(m.scalar.star())
-    a, b, c, d = m.blocks
-    return BlockMatrix.quad(adjoint(a), adjoint(c), adjoint(b), adjoint(d))
+    """Transpose with the scalar involution applied to every entry."""
+    rows = tuple(tuple(x.star() for x in col) for col in zip(*m._rows))
+    return BlockMatrix(rows, m.depth)
 
 
 def scale_all(m: BlockMatrix, factor, counter: OpCounter | None = None) -> BlockMatrix:
     """Multiply every entry by one scalar, tallied as scalings, not products."""
     counter = counter if counter is not None else OpCounter()
-
-    def walk(node):
-        if node.is_leaf:
-            counter.scaling_count += 1
-            return BlockMatrix.leaf(node.scalar * factor)
-        return BlockMatrix.quad(*(walk(child) for child in node.blocks))
-
-    return walk(m)
+    counter.scaling_count += m.dimension**2
+    return map_leaves(m, lambda x: x * factor)
 
 
 def circ_conjugate(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:
     """Conjugated transpose: entry (i, j) becomes t**(j-i) * m[j][i].
 
     The entries come from a ring with a variable t and its powers
-    (``ring.t_power``): K(t), or the lift field GF(p)[t]/Phi_l.  Implemented
-    as recursive block transposition with whole-block t-power scalings;
-    rows are never touched individually.  Applying it twice restores the
+    (``ring.t_power``): K(t), or the lift field GF(p)[t]/Phi_l.  Priced as
+    recursive block transposition with whole-block t-power scalings:
+    n**2 * k / 2 scalings at depth k.  Applying it twice restores the
     input.
     """
     counter = counter if counter is not None else OpCounter()
-    ring = m.ring
-    if not hasattr(ring, "t_power"):
+    if not hasattr(m.ring, "t_power"):
         raise TypeError("circ conjugation needs rational function entries")
+    return _circ_conjugate(m, 0, counter)
 
-    def walk(node):
-        if node.is_leaf:
-            return node
-        a, b, c, d = node.blocks
-        half = node.dimension // 2
-        return BlockMatrix.quad(
-            walk(a),
-            scale_all(walk(c), ring.t_power(half), counter),
-            scale_all(walk(b), ring.t_power(-half), counter),
-            walk(d),
-        )
 
-    return walk(m)
+def _circ_conjugate(m, shift, counter):
+    """Entry (i, j) becomes t**(j-i+shift) * m[j][i], in one pass.
+
+    Tallies the scalings of :func:`circ_conjugate` and, for a nonzero
+    ``shift``, the n**2 of one more whole-matrix scaling by t**shift.
+    """
+    n, ring = m.dimension, m.ring
+    counter.scaling_count += n * n * m.depth // 2 + (n * n if shift else 0)
+    # entry (i, j) takes powers[j - i + n - 1] = t**(j - i + shift)
+    powers = [ring.t_power(e) for e in range(shift - n + 1, shift + n)]
+    rows = tuple(
+        tuple(x * powers[j - i + n - 1] for j, x in enumerate(col))
+        for i, col in enumerate(zip(*m._rows))
+    )
+    return BlockMatrix(rows, m.depth)

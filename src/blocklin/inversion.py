@@ -136,8 +136,9 @@ def _mirror(block: BlockMatrix, kind: ConjugationKind, half: int, counter: OpCou
         return bm.transpose(block)
     if kind is ConjugationKind.STAR:
         return bm.adjoint(block)
-    ring = block.ring
-    return bm.scale_all(bm.circ_conjugate(block, counter), ring.t_power(-half), counter)
+    # entry (i, j) is t**(j-i-half) * block[j][i]: circ conjugation and the
+    # whole-block scaling by t**-half in one pass, tallied as both
+    return bm._circ_conjugate(block, -half, counter)
 
 
 def _self_adjoint_node(n, kind, counter, sub_invert, path):
@@ -231,25 +232,14 @@ def project_to_base(m: BlockMatrix, base) -> BlockMatrix:
     """Entrywise projection of a constant lifted matrix back to K.
 
     The entries come from K(t) or from the lift field GF(p)[t]/Phi_l.
-    Raises NonConstantResidue naming the first entry that is not a
-    constant; nothing is ever truncated.
+    Raises NonConstantResidue naming the first entry, in row-major order,
+    that is not a constant; nothing is ever truncated.
     """
-
-    def walk(node, row, col):
-        if node.is_leaf:
-            value = node.scalar
+    for row_index, row in enumerate(bm.to_dense(m).rows):
+        for col_index, value in enumerate(row):
             if not value.is_constant():
-                raise NonConstantResidue(row, col)
-            return BlockMatrix.leaf(base.wrap(value.constant_value()))
-        half = node.dimension // 2
-        return BlockMatrix.quad(
-            walk(node.a, row, col),
-            walk(node.b, row, col + half),
-            walk(node.c, row + half, col),
-            walk(node.d, row + half, col + half),
-        )
-
-    return walk(m, 0, 0)
+                raise NonConstantResidue(row_index, col_index)
+    return bm.map_leaves(m, lambda value: base.wrap(value.constant_value()))
 
 
 def invert_gram_gv(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:

@@ -4,8 +4,10 @@ The factorization produced here is M = P * L * U * Q with unit-lower-
 triangular L, upper-triangular U, and permutations P and Q stored as
 vectors of nested block swaps: each half of a vector draws from one half of
 the indices, recursively.  Pivoting swaps whole blocks, and a block is
-accepted as the leading block by factoring it.  Rows are read only by
-:func:`is_invertible`, on the failure paths.
+accepted as the leading block by factoring it.  Rows are read by
+:func:`is_invertible`, on the failure paths, and by :func:`apply_permutation`
+and :meth:`TriangularMatrix.is_structurally_valid`, each in one pass over
+the dense rows.
 
 Triangular matrices carry structural zero blocks (the whole upper-right or
 lower-left quadrant, recursively), so the specialized kernels
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 from . import blockmat as bm
 from .blockmat import BlockMatrix, OpCounter
+from .dense import DenseMatrix
 from .errors import (
     AllBlocksSingular,
     DepthMismatch,
@@ -80,22 +83,20 @@ class TriangularMatrix:
         return diag1, diag2, body.b
 
     def is_structurally_valid(self) -> bool:
-        """Structural zeros hold recursively; unit diagonal when claimed."""
+        """Structural zeros hold recursively; unit diagonal when claimed.
 
-        def zero(node):
-            if node.is_leaf:
-                return node.scalar.is_zero()
-            return all(zero(child) for child in node.blocks)
-
-        def walk(node):
-            if node.is_leaf:
-                if node.scalar.is_zero():
-                    return False
-                return not self.unit_diagonal or node.scalar == node.scalar.ring.one()
-            off = node.b if self.orientation == LOWER else node.c
-            return zero(off) and walk(node.a) and walk(node.d)
-
-        return walk(self.body)
+        The zero blocks of every node together are the entries strictly
+        above the diagonal for LOWER and strictly below it for UPPER.
+        """
+        one = self.body.ring.one()
+        for i, row in enumerate(bm.to_dense(self.body).rows):
+            diagonal = row[i]
+            if diagonal.is_zero() or (self.unit_diagonal and diagonal != one):
+                return False
+            off = row[i + 1 :] if self.orientation == LOWER else row[:i]
+            if not all(x.is_zero() for x in off):
+                return False
+        return True
 
 
 def apply_permutation(
@@ -112,24 +113,30 @@ def apply_permutation(
         raise ValueError(f"not a permutation: {list(vec)}")
     if inverse:
         vec = sorted(range(len(vec)), key=vec.__getitem__)
-    return _apply(tuple(vec), m, side == "rows")
-
-
-def _apply(vec, m, rows):
+    vec = tuple(vec)
     if vec == tuple(range(len(vec))):
         return m
-    half = len(vec) // 2
-    source = vec[0] // half
-    if any(v // half != source for v in vec[:half]):
+    if not _nested_block_swaps(vec):
         raise ValueError("permutation is not nested block swaps")
-    a, b, c, d = m.blocks
-    halves = ((a, b), (c, d)) if rows else ((a, c), (b, d))
-    # the top half of vec takes its blocks from half ``source``, the bottom from the other
-    (w, x), (y, z) = (
-        [_apply(tuple(v % half for v in part), block, rows) for block in halves[source ^ k]]
-        for k, part in enumerate((vec[:half], vec[half:]))
+    rows = bm.to_dense(m).rows
+    if side == "rows":
+        gathered = [rows[v] for v in vec]
+    else:
+        gathered = [[row[v] for v in vec] for row in rows]
+    return bm.from_dense(DenseMatrix(len(vec), gathered, m.ring))
+
+
+def _nested_block_swaps(vec):
+    """Whether each half of ``vec`` draws from one half of the indices, recursively."""
+    if len(vec) == 1:
+        return True
+    half = len(vec) // 2
+    top, bottom = vec[:half], vec[half:]
+    return (
+        len({v // half for v in top}) == 1
+        and _nested_block_swaps([v % half for v in top])
+        and _nested_block_swaps([v % half for v in bottom])
     )
-    return BlockMatrix.quad(w, x, y, z) if rows else BlockMatrix.quad(w, y, x, z)
 
 
 @dataclass(frozen=True)

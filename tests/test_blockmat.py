@@ -23,6 +23,7 @@ from blocklin import (
     from_dense,
     identity,
     lift_to_ratfun,
+    map_leaves,
     mul,
     negate,
     sub,
@@ -236,15 +237,19 @@ def lift_entry(rng):
     return head + LIFT.lift(f.random_element(rng)) * LIFT.t_power(rng.randrange(LIFT.order))
 
 
+def draw_dense(ring, n, rng):
+    if ring is LIFT:
+        return DenseMatrix(n, [[lift_entry(rng) for _ in range(n)] for _ in range(n)], LIFT)
+    return random_dense(ring, n, rng)
+
+
 def kernel_operands(ring, n, rng):
     """Two random operands; up to n = 8 also zero and identity operands."""
     if ring is LIFT:
-        draw = lambda: DenseMatrix(n, [[lift_entry(rng) for _ in range(n)] for _ in range(n)], LIFT)
         zero, one = LIFT.lift(GF(7).zero()), LIFT.lift(GF(7).one())
     else:
-        draw = lambda: random_dense(ring, n, rng)
         zero, one = ring.zero(), ring.one()
-    x, y = draw(), draw()
+    x, y = draw_dense(ring, n, rng), draw_dense(ring, n, rng)
     eye = DenseMatrix(n, [[one if i == j else zero for j in range(n)] for i in range(n)], ring)
     nil = DenseMatrix(n, [[zero] * n for _ in range(n)], ring)
     return [(x, y), (nil, y), (x, eye), (eye, y)] if n <= 8 else [(x, y)]
@@ -266,6 +271,30 @@ def test_mul_kernel_matches_dense_product_and_recursion_counts(ring):
             product = mul(from_dense(dx), from_dense(dy), counter)
             assert to_dense(product) == schoolbook_mul(dx, dy)
             assert counter.snapshot() == {"mul": n**3, "div": 0, "add": n * n * (n - 1), "scaling": 0}
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.spec)
+def test_row_storage_splits_joins_and_owns_its_rows(ring):
+    rng = random.Random(stable_seed("row-storage", ring.spec))
+    for depth in range(6):
+        n, half = 1 << depth, (1 << depth) // 2
+        dense = draw_dense(ring, n, rng)
+        expected = DenseMatrix(n, dense.rows, ring)
+        m = from_dense(dense)
+        if depth:
+            assert BlockMatrix.quad(*m.blocks) == m
+            assert (m.a, m.b, m.c, m.d) == m.blocks
+            assert to_dense(m.b).rows == [row[half:] for row in expected.rows[:half]]
+        else:
+            assert m.blocks is None and m.scalar == expected.rows[0][0]
+        # neither the rows m was built from nor the rows it hands out reach m
+        dense.rows[0][0] = dense.rows[0][0] + ring.one()
+        dense.rows[-1] = dense.rows[0]
+        assert to_dense(m) == expected
+        out = to_dense(m)
+        out.rows[-1][-1] = out.rows[-1][-1] + ring.one()
+        out.rows[0] = out.rows[-1]
+        assert to_dense(m) == expected
 
 
 def test_quaternion_products_keep_factor_order():
@@ -337,6 +366,14 @@ def test_circ_counts_scalings_not_multiplications():
     circ_conjugate(m, counter)
     assert counter.mul_count == 0 and counter.div_count == 0
     assert counter.scaling_count == 2
+    # the closed form of the recursive block transposition: n*n*k/2 at depth k
+    rng = random.Random(stable_seed("circ-counts"))
+    for depth in range(1, 6):
+        n = 1 << depth
+        for field, base in ((RatFun(GF(2)), GF(2)), (lift_field(7, n), GF(7))):
+            counter = OpCounter()
+            circ_conjugate(map_leaves(random_matrix(base, depth, rng), field.lift), counter)
+            assert counter.snapshot() == {"mul": 0, "div": 0, "add": 0, "scaling": n * n * depth // 2}
 
 
 def test_circ_requires_ratfun_entries():

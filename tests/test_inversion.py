@@ -12,6 +12,7 @@ from blocklin import (
     DenseMatrix,
     GramMatrix,
     GramSingular,
+    NonConstantResidue,
     OpCounter,
     PivotBlockSingular,
     RatFun,
@@ -27,12 +28,14 @@ from blocklin import (
     is_invertible,
     lift_to_ratfun,
     mul,
+    project_to_base,
     schur_invert,
     to_dense,
     transpose,
     zero_matrix,
 )
 from blocklin import cli, inversion
+from blocklin.cyclotomic import lift_field
 from blocklin.complexity import (
     closed_form_T_inv,
     recurrence_T_hermitian,
@@ -250,6 +253,27 @@ def test_gv_pre_projection_entries_are_constant(rng):
     for row in to_dense(pre).rows:
         for entry in row:
             assert len(entry.den) == 1 and len(entry.num) <= 1
+
+
+@pytest.mark.parametrize(
+    "field, base", [(RatFun(QQ), QQ), (lift_field(7, 8), GF(7))], ids=["ratfun:q", "lift:7"]
+)
+def test_project_to_base_names_the_first_non_constant_entry(field, base):
+    def lifted(n, non_constant):
+        rows = [[field.lift(base.from_int(i + 2 * j)) for j in range(n)] for i in range(n)]
+        for i, j in non_constant:
+            rows[i][j] = rows[i][j] + field.t_power(1)
+        return from_dense(DenseMatrix(n, rows, field))
+
+    expected = ring_mat(base, [[i + 2 * j for j in range(4)] for i in range(4)])
+    assert project_to_base(lifted(4, []), base) == expected
+    with pytest.raises(NonConstantResidue) as err:
+        project_to_base(lifted(4, [(1, 2)]), base)
+    assert err.value.row == 1 and err.value.col == 2
+    # row-major order: (0, 4) is reported, though (1, 0) lies in the leading block
+    with pytest.raises(NonConstantResidue) as err:
+        project_to_base(lifted(8, [(1, 0), (0, 4)]), base)
+    assert (err.value.row, err.value.col) == (0, 4)
 
 
 # -- gram symmetries --------------------------------------------------------------

@@ -204,6 +204,27 @@ def test_tri_invert_count_law(n, expect, rng):
 
 
 @pytest.mark.parametrize("orientation", [LOWER, UPPER])
+def test_structural_validity_rejects_broken_triangles(orientation):
+    n, lower = 8, orientation == LOWER
+
+    def valid(edit, unit_diagonal):
+        # unit diagonal, nonzero entries on the triangular side, then one edit
+        rows = [[1 if i == j else (i + 2 * j) % 5 + 1 if (i > j) == lower else 0 for j in range(n)] for i in range(n)]
+        for (i, j), value in edit.items():
+            rows[i][j] = value
+        return TriangularMatrix(ring_mat(QQ, rows), orientation, unit_diagonal).is_structurally_valid()
+
+    assert valid({}, True)
+    # (4, 5) lies in the structural-zero block of the 2x2 node two levels down at rows/cols 4-5
+    nonzero_in_zero_block = {(4, 5) if lower else (5, 4): 3}
+    zero_diagonal = {(6, 6): 0}
+    for edit in (nonzero_in_zero_block, zero_diagonal):
+        assert not valid(edit, False) and not valid(edit, True)
+    non_unit_diagonal = {(3, 3): 2}
+    assert not valid(non_unit_diagonal, True) and valid(non_unit_diagonal, False)
+
+
+@pytest.mark.parametrize("orientation", [LOWER, UPPER])
 def test_tri_invert_structure_and_round_trip(orientation):
     for ring, depth, rng in tri_cases("tri_invert", orientation):
         tm = random_triangular(ring, depth, rng, orientation)
