@@ -18,7 +18,7 @@ from .blockmat import (
     transpose,
     zero_matrix,
 )
-from .dense import DenseMatrix, dense_determinant, dense_identity, dense_mul, gauss_jordan_inverse
+from .dense import DenseMatrix, dense_determinant, dense_identity, dense_mul
 from .errors import (
     AllBlocksSingular,
     BlocklinError,

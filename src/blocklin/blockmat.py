@@ -10,7 +10,11 @@ blocks only, and convert through :class:`~blocklin.dense.DenseMatrix`
 solely at the I/O and oracle boundary.  Inside this module every
 operation is one pass over the rows; :func:`mul` hands both operands'
 rows to the ring's own row kernel (``ring.dot_rows``), which takes every
-output entry as one dot product.
+output entry as one dot product.  Given a sign and an addend, :func:`mul`
+computes the fused multiply-accumulate sign*(x*y) + z in that same pass:
+the Schur complement D - C*A^-1*B and the inverse blocks of the inverters
+and the LU take one call each, not a product and a second pass, and are
+priced as the product plus the block addition they replace.
 
 Every arithmetic operation threads an optional :class:`OpCounter` tallying
 base-scalar multiplications, divisions, additions, and t-power scalings.
@@ -260,39 +264,59 @@ def mul(
     y: BlockMatrix,
     counter: OpCounter | None = None,
     strategy: str = "naive",
+    *,
+    sign: int = 1,
+    addend: BlockMatrix | None = None,
 ) -> BlockMatrix:
-    """Exact product.
+    """Exact product; with ``sign`` (1 or -1) and ``addend`` Z, the fused
+    multiply-accumulate sign*(x*y) + Z.
 
     ``naive`` is priced as the recursion through 8 half-size products and 4
     block additions: n**3 scalar multiplications and n**2 * (n - 1)
     additions, tallied once per call.  It runs as one dense kernel that
     hands both operands' rows to the ring and takes every output entry as
-    one dot product.  ``strassen`` recurses through 7 products and 18 block
-    additions.  Neither shortcuts zero or identity operands, so counts stay
-    shape-determined, and neither commutes factors, so both remain valid
-    over the quaternions.  Operands over different rings raise TypeError.
+    one dot product.  The fused form runs on the same kernel, which folds
+    the sign and the addend into each entry's dot product, and is priced as
+    the product and the block addition or subtraction it replaces: n**2
+    more additions with an addend, none for the sign, which like
+    :func:`negate` is free.  ``strassen`` recurses through 7 products and 18
+    block additions and takes no fused form.  Neither shortcuts zero or
+    identity operands, so counts stay shape-determined, and neither
+    commutes factors, so both remain valid over the quaternions.  Operands
+    over different rings raise TypeError.
     """
     counter = counter if counter is not None else OpCounter()
     _check_depth(x, y)
+    if addend is not None:
+        _check_depth(x, addend)
     if strategy == "naive":
-        return _mul_dense(x, y, counter)
-    if strategy == "strassen":
-        return _mul_strassen(x, y, counter)
-    raise ValueError(f"unknown multiplication strategy {strategy!r}")
+        return _mul_dense(x, y, counter, sign, addend)
+    if strategy != "strassen":
+        raise ValueError(f"unknown multiplication strategy {strategy!r}")
+    if sign != 1 or addend is not None:
+        raise ValueError("the fused form needs the naive strategy")
+    return _mul_strassen(x, y, counter)
 
 
-def _mul_dense(x, y, counter):
+def _mul_dense(x, y, counter, sign, addend):
     if x.is_leaf:
         # one scalar product; the scalar types reject mixed rings themselves
         counter.mul_count += 1
-        return BlockMatrix.leaf(x.scalar * y.scalar)
+        v = x.scalar * y.scalar
+        if addend is None:
+            return BlockMatrix.leaf(-v if sign < 0 else v)
+        counter.add_count += 1
+        z = addend.scalar
+        return BlockMatrix.leaf(z + v if sign > 0 else z - v)
     ring = x.ring
-    if y.ring is not ring:
-        raise TypeError(f"cannot multiply matrices over {ring!r} and {y.ring!r}")
-    out = ring.dot_rows(x._rows, zip(*y._rows))
+    for other in (y,) if addend is None else (y, addend):
+        if other.ring is not ring:
+            raise TypeError(f"cannot multiply matrices over {ring!r} and {other.ring!r}")
+    z = None if addend is None else addend._rows
+    out = ring.dot_rows(x._rows, zip(*y._rows), z, sign)
     n = x.dimension
     counter.mul_count += n**3
-    counter.add_count += n * n * (n - 1)
+    counter.add_count += n * n * (n - 1) + (0 if z is None else n * n)
     return BlockMatrix(tuple(map(tuple, out)), x.depth)
 
 

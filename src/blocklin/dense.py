@@ -2,8 +2,8 @@
 
 Dense matrices exist for file round trips and for row-based work outside
 the block algorithms, which never use them internally: the products of the
-CLI's ``check`` (:func:`dense_mul`), the invertibility decision,
-determinants and Gauss-Jordan inversion.  Products and eliminations run
+CLI's ``check`` (:func:`dense_mul`), the invertibility decision and
+determinants.  Products and eliminations run
 on the ring's own row kernels, ``ring.dot_rows`` and
 ``ring.pivot_product``: integers over a common denominator over QQ (and,
 for products, over QQ_I and QUAT), raw residues over GF(p), scalar
@@ -51,35 +51,6 @@ def dense_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.ring is not b.ring:
         raise TypeError(f"cannot multiply matrices over {a.ring!r} and {b.ring!r}")
     return DenseMatrix(a.n, a.ring.dot_rows(a.rows, zip(*b.rows)), a.ring)
-
-
-def gauss_jordan_inverse(m: DenseMatrix) -> DenseMatrix | None:
-    """Invert by row reduction of [M | I]; None when M is singular.
-
-    Row operations multiply from the left, which stays correct over the
-    noncommutative quaternions as well.
-    """
-    n = m.n
-    a = [list(row) for row in m.rows]
-    inv = [list(row) for row in dense_identity(n, m.ring).rows]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if pivot_row is None:
-            return None
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot_inv = a[col][col].try_invert()
-        if pivot_inv is None:
-            return None
-        a[col] = [pivot_inv * x for x in a[col]]
-        inv[col] = [pivot_inv * x for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return DenseMatrix(n, inv, m.ring)
 
 
 def dense_determinant(m: DenseMatrix):

@@ -106,7 +106,7 @@ def schur_step(a_inv, b, c, d, counter):
     """One block elimination: (C A^-1, A^-1 B, D - C A^-1 B), three products."""
     c_ainv = bm.mul(c, a_inv, counter)
     ainv_b = bm.mul(a_inv, b, counter)
-    return c_ainv, ainv_b, bm.sub(d, bm.mul(c_ainv, b, counter), counter)
+    return c_ainv, ainv_b, bm.mul(c_ainv, b, counter, sign=-1, addend=d)
 
 
 def _schur(m, counter, path):
@@ -116,10 +116,10 @@ def _schur(m, counter, path):
     a_inv = _schur(a, counter, path + ("A",))
     c_ainv, ainv_b, complement = schur_step(a_inv, b, c, d, counter)
     s_inv = _schur(complement, counter, path + ("S",))
-    ainvb_sinv = bm.mul(ainv_b, s_inv, counter)
-    top_left = bm.add(a_inv, bm.mul(ainvb_sinv, c_ainv, counter), counter)
-    bottom_left = bm.negate(bm.mul(s_inv, c_ainv, counter))
-    return BlockMatrix.quad(top_left, bm.negate(ainvb_sinv), bottom_left, s_inv)
+    top_right = bm.mul(ainv_b, s_inv, counter, sign=-1)
+    top_left = bm.mul(top_right, c_ainv, counter, sign=-1, addend=a_inv)
+    bottom_left = bm.mul(s_inv, c_ainv, counter, sign=-1)
+    return BlockMatrix.quad(top_left, top_right, bottom_left, s_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +153,12 @@ def _self_adjoint_node(n, kind, counter, sub_invert, path):
     a, b, _, d = n.blocks
     half = n.dimension // 2
     a_inv = sub_invert(a, path + ("A",))
-    ainv_b = bm.mul(a_inv, b, counter)                    # 1
+    ainv_b = bm.mul(a_inv, b, counter)                                     # 1
     c_ainv = _mirror(ainv_b, kind, half, counter)
-    complement = bm.sub(d, bm.mul(c_ainv, b, counter), counter)  # 2
+    complement = bm.mul(c_ainv, b, counter, sign=-1, addend=d)             # 2
     s_inv = sub_invert(complement, path + ("S",))
-    ainvb_sinv = bm.mul(ainv_b, s_inv, counter)           # 3
-    corner = bm.mul(ainvb_sinv, c_ainv, counter)          # 4
-    top_left = bm.add(a_inv, corner, counter)
-    top_right = bm.negate(ainvb_sinv)
+    top_right = bm.mul(ainv_b, s_inv, counter, sign=-1)                    # 3
+    top_left = bm.mul(top_right, c_ainv, counter, sign=-1, addend=a_inv)   # 4
     bottom_left = _mirror(top_right, kind, half, counter)
     return BlockMatrix.quad(top_left, top_right, bottom_left, s_inv)
 

@@ -14,7 +14,10 @@ lower-left quadrant, recursively), so the specialized kernels
 :func:`tri_mul` and :func:`tri_invert` cost fewer counted operations than
 their general counterparts; their exact operation counts are part of the
 tested contract.  :func:`tri_mul` runs on the dense kernel of
-:func:`blockmat.mul` and tallies the count of the triangular recursion.
+:func:`blockmat.mul` and tallies the count of the triangular recursion;
+its ``sign`` gives :func:`tri_invert` its negated corners in the same
+kernel call.  The Schur complement of each LU node is one fused
+multiply-accumulate call, D - X*Y.
 """
 
 from __future__ import annotations
@@ -214,23 +217,28 @@ def tri_mul(
     g: BlockMatrix,
     side: str,
     counter: OpCounter | None = None,
+    *,
+    sign: int = 1,
 ) -> BlockMatrix:
-    """Triangular times general product: tm*g for side 'left', g*tm for 'right'.
+    """Triangular times general product: tm*g for side 'left', g*tm for
+    'right', negated for ``sign`` -1.
 
     Priced as the block recursion through 4 triangular-general and 2 general
     half-size products per node: (n**3 + n**2) / 2 multiplications and
-    n**2 * (n - 1) / 2 additions, tallied once per call.  It runs as one
-    general product on ``tm.body``, which is exact because the structural
-    zero blocks of the body hold zeros, as in every TriangularMatrix the
-    package builds and as :meth:`TriangularMatrix.is_structurally_valid`
-    checks.
+    n**2 * (n - 1) / 2 additions, tallied once per call; the sign, folded
+    into the same kernel, is free.  It runs as one general product on
+    ``tm.body`` (:func:`blockmat.mul`), which is exact because the
+    structural zero blocks of the body hold zeros, as in every
+    TriangularMatrix the package builds and as
+    :meth:`TriangularMatrix.is_structurally_valid` checks.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     counter = counter if counter is not None else OpCounter()
     if tm.depth != g.depth:
         raise DepthMismatch(f"depth {tm.depth} vs {g.depth}")
-    product = bm.mul(tm.body, g) if side == "left" else bm.mul(g, tm.body)
+    x, y = (tm.body, g) if side == "left" else (g, tm.body)
+    product = bm.mul(x, y, sign=sign)
     n = tm.dimension
     counter.mul_count += (n**3 + n**2) // 2
     counter.add_count += n * n * (n - 1) // 2
@@ -263,11 +271,11 @@ def _tri_invert(tm, counter, path):
     if tm.orientation == LOWER:
         # [[A,0],[C,D]]^-1 = [[A^-1, 0], [-D^-1 (C A^-1), D^-1]]
         c_ainv = tri_mul(inv1, off, "right", counter)
-        corner = bm.negate(tri_mul(inv2, c_ainv, "left", counter))
+        corner = tri_mul(inv2, c_ainv, "left", counter, sign=-1)
         return BlockMatrix.quad(inv1.body, zero, corner, inv2.body)
     # [[A,B],[0,D]]^-1 = [[A^-1, -A^-1 (B D^-1)], [0, D^-1]]
     b_dinv = tri_mul(inv2, off, "right", counter)
-    corner = bm.negate(tri_mul(inv1, b_dinv, "left", counter))
+    corner = tri_mul(inv1, b_dinv, "left", counter, sign=-1)
     return BlockMatrix.quad(inv1.body, corner, zero, inv2.body)
 
 
@@ -356,7 +364,7 @@ def _lu_node(m, counter, pivot, path):
     x_raw = tri_mul(u1_inv, c_cols, "right", counter)
     b_rows = apply_permutation(res_a.p, b, "rows", inverse=True)
     y_raw = tri_mul(l1_inv, b_rows, "left", counter)
-    complement = bm.sub(d, bm.mul(x_raw, y_raw, counter), counter)
+    complement = bm.mul(x_raw, y_raw, counter, sign=-1, addend=d)
     res_s = _lu_node(complement, counter, pivot, path + ("S",))
     x = apply_permutation(res_s.p, x_raw, "rows", inverse=True)
     y = apply_permutation(res_s.q, y_raw, "cols", inverse=True)

@@ -24,7 +24,8 @@ denominator as tuples of these raw coefficients and computes only through
 the kernels.
 
 Each ring handle also owns the row kernels of matrix code, ``dot_rows``
-(dot products) and ``pivot_product`` (forward elimination).  ``dot_rows``
+(dot products, with an optional sign and addend folded into each entry)
+and ``pivot_product`` (forward elimination).  ``dot_rows``
 runs on integers over common denominators for QQ, QQ_I and QUAT (the
 latter two through one kernel read from each algebra's structure table),
 on raw residues for GF(p), and on scalar objects only for K(t) and the
@@ -118,7 +119,13 @@ def _primitive(coeffs):
     return [c // content for c in ints] if content > 1 else ints
 
 
-def _component_dot_rows(rows, cols, parts, signs, make):
+def _plus_fraction(num, den, z):
+    """num / den + z as one Fraction: the addend joins the integer sum."""
+    q = z.denominator
+    return Fraction(num * q + z.numerator * den, den * q)
+
+
+def _component_dot_rows(rows, cols, parts, signs, make, addend=None, sign=1):
     """``dot_rows`` of an algebra over QQ with basis e_0 = 1, e_1, ... in
     which e_p * e_q = signs[p][q] * e_(p xor q), left factor first.
 
@@ -126,23 +133,29 @@ def _component_dot_rows(rows, cols, parts, signs, make):
     from them.  All components of a row (a column) come over one common
     denominator d (e), laid end to end.  Output component c of an entry is
     then one integer dot product of the column with the row's blocks
-    e_(c xor q), signed, for q = 0, 1, ..., and one Fraction over d * e.
+    e_(c xor q), signed by the table times ``sign``, for q = 0, 1, ..., and
+    one Fraction over d * e, into which the addend's component c is folded.
     """
     k = len(parts)
     right = [_over_common_denominator([part(s) for part in parts for s in col]) for col in cols]
     out = []
-    for row in rows:
+    for i, row in enumerate(rows):
         ints, d = _over_common_denominator([part(s) for part in parts for s in row])
         n = len(row)
         blocks = [ints[p * n : (p + 1) * n] for p in range(k)]
         negated = [[-x for x in block] for block in blocks]
         left = [
-            [x for q in range(k) for x in (blocks if signs[c ^ q][q] > 0 else negated)[c ^ q]]
+            [x for q in range(k) for x in (blocks if signs[c ^ q][q] * sign > 0 else negated)[c ^ q]]
             for c in range(k)
         ]
-        out.append(
-            [make(*[Fraction(sum(map(operator.mul, a, b)), d * e) for a in left]) for b, e in right]
-        )
+        if addend is None:
+            out_row = [make(*[Fraction(sum(map(operator.mul, a, b)), d * e) for a in left]) for b, e in right]
+        else:
+            out_row = [
+                make(*[_plus_fraction(sum(map(operator.mul, a, b)), d * e, part(z)) for a, part in zip(left, parts)])
+                for (b, e), z in zip(right, addend[i])
+            ]
+        out.append(out_row)
     return out
 
 
@@ -661,27 +674,37 @@ class _Ring:
     def random_element(self, rng):
         raise NotImplementedError
 
-    def dot_rows(self, rows, cols):
-        """Row lists: entry (i, j) is the dot product of rows[i] and cols[j].
+    def dot_rows(self, rows, cols, addend=None, sign=1):
+        """Row lists: entry (i, j) is sign * (rows[i] . cols[j]) + addend[i][j].
 
+        ``sign`` is 1 or -1, and ``addend``, when given, holds the rows of a
+        matrix of the output's shape; every kernel folds both into the one
+        value it builds per entry, so no second pass follows the product.
         This scalar-object kernel serves K(t) and the lift field; QQ, GF(p),
         QQ_I and QUAT override it with kernels on integers or residues.
         Products are taken left times right and summed in adjacent pairs,
         level by level, an odd last term carried up unchanged: at
         power-of-two lengths the order of the block recursion, whose
         intermediate sums this keeps, and with them the growth of K(t)
-        numerators and denominators.
+        numerators and denominators.  Only the finished pairwise sum s
+        meets the sign and the addend z, as -s, z + s or z - s.
         """
         cols = list(cols)
         out = []
-        for a in rows:
+        for i, a in enumerate(rows):
+            z_row = None if addend is None else addend[i]
             out_row = []
-            for b in cols:
+            for j, b in enumerate(cols):
                 terms = list(map(operator.mul, a, b))
                 while len(terms) > 1:
                     odd = terms[-1:] if len(terms) % 2 else []
                     terms = [s + t for s, t in zip(terms[::2], terms[1::2])] + odd
-                out_row.append(terms[0])
+                total = terms[0]
+                if z_row is not None:
+                    total = z_row[j] + total if sign > 0 else z_row[j] - total
+                elif sign < 0:
+                    total = -total
+                out_row.append(total)
             out.append(out_row)
         return out
 
@@ -809,13 +832,22 @@ class _RationalField(_CoefficientField):
     def random_element(self, rng):
         return Rational(rng.randint(-9, 9))
 
-    def dot_rows(self, rows, cols):
-        # delayed reduction: integer dot products, one Fraction gcd per entry
+    def dot_rows(self, rows, cols, addend=None, sign=1):
+        # delayed reduction: integer dot products, one Fraction gcd per
+        # entry, into which the sign and the addend are folded
         left = [_over_common_denominator([s.value for s in row]) for row in rows]
         right = [_over_common_denominator([s.value for s in col]) for col in cols]
+        if addend is None:
+            return [
+                [Rational(Fraction(sign * sum(map(operator.mul, a, b)), d * e)) for b, e in right]
+                for a, d in left
+            ]
         return [
-            [Rational(Fraction(sum(map(operator.mul, a, b)), d * e)) for b, e in right]
-            for a, d in left
+            [
+                Rational(_plus_fraction(sign * sum(map(operator.mul, a, b)), d * e, z.value))
+                for (b, e), z in zip(right, z_row)
+            ]
+            for (a, d), z_row in zip(left, addend)
         ]
 
     def pivot_product(self, rows):
@@ -912,12 +944,18 @@ class _PrimeField(_CoefficientField):
     def random_element(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
 
-    def dot_rows(self, rows, cols):
-        # residue dot products, one reduction per entry
+    def dot_rows(self, rows, cols, addend=None, sign=1):
+        # residue dot products, one reduction per entry, into which the sign
+        # and the addend are folded
         p = self.p
         left = [[s.residue for s in row] for row in rows]
         right = [[s.residue for s in col] for col in cols]
-        return [[PrimeFieldElement(sum(map(operator.mul, a, b)) % p, p) for b in right] for a in left]
+        if addend is None:
+            return [[PrimeFieldElement(sign * sum(map(operator.mul, a, b)) % p, p) for b in right] for a in left]
+        return [
+            [PrimeFieldElement((sign * sum(map(operator.mul, a, b)) + z.residue) % p, p) for b, z in zip(right, z_row)]
+            for a, z_row in zip(left, addend)
+        ]
 
     def pivot_product(self, rows):
         # elimination on raw residues; the rows shrink by the pivot column
@@ -1011,8 +1049,8 @@ class _GaussianRationalField(_Ring):
     def random_element(self, rng):
         return GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
 
-    def dot_rows(self, rows, cols):
-        return _component_dot_rows(rows, cols, _GAUSSIAN_PARTS, _GAUSSIAN_SIGNS, GaussianRational)
+    def dot_rows(self, rows, cols, addend=None, sign=1):
+        return _component_dot_rows(rows, cols, _GAUSSIAN_PARTS, _GAUSSIAN_SIGNS, GaussianRational, addend, sign)
 
 
 QQ_I = _GaussianRationalField()
@@ -1040,8 +1078,8 @@ class _QuaternionRing(_Ring):
     def random_element(self, rng):
         return Quaternion(*(rng.randint(-5, 5) for _ in range(4)))
 
-    def dot_rows(self, rows, cols):
-        return _component_dot_rows(rows, cols, _QUATERNION_PARTS, _HAMILTON_SIGNS, Quaternion)
+    def dot_rows(self, rows, cols, addend=None, sign=1):
+        return _component_dot_rows(rows, cols, _QUATERNION_PARTS, _HAMILTON_SIGNS, Quaternion, addend, sign)
 
 
 QUAT = _QuaternionRing()

@@ -27,7 +27,6 @@ from blocklin import (
     auto_invert,
     circ_conjugate,
     from_dense,
-    gauss_jordan_inverse,
     hermitian_invert,
     identity,
     invert_gram_gv,
@@ -60,7 +59,7 @@ from blocklin.sampling import (
     random_triangular,
 )
 
-from conftest import stable_seed, witness_all_blocks_singular
+from conftest import gauss_jordan_inverse, stable_seed, witness_all_blocks_singular
 
 
 @contextmanager

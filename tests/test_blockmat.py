@@ -274,6 +274,46 @@ def test_mul_kernel_matches_dense_product_and_recursion_counts(ring):
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.spec)
+def test_fused_mul_equals_product_then_add_sub_or_negate(ring):
+    # the fused form sign*(x*y) + z against the product followed by the
+    # block operation it replaces, on values and on tallies; over QQ, QQ_I
+    # and QUAT the addend's denominators are coprime to the product's
+    rng = random.Random(stable_seed("fused-mul", ring.spec))
+    for depth in range(5):
+        n = 1 << depth
+        triples = [tuple(draw_dense(ring, n, rng) for _ in range(3))]
+        if ring in COMPONENTS:
+            # this y draws on the primes after those of the product's x and y
+            _, z = mixed_denominator_operands(ring, n, first=COMPONENTS[ring][1] * n)
+            triples.append((*mixed_denominator_operands(ring, n), z))
+        for dx, dy, dz in triples:
+            x, y, z = from_dense(dx), from_dense(dy), from_dense(dz)
+            for sign in (1, -1):
+                for addend in (None, z):
+                    fused_counter, split_counter = OpCounter(), OpCounter()
+                    fused = mul(x, y, fused_counter, sign=sign, addend=addend)
+                    product = mul(x, y, split_counter)
+                    if addend is None:
+                        expected = product if sign > 0 else negate(product)
+                    else:
+                        expected = (add if sign > 0 else sub)(addend, product, split_counter)
+                    assert fused == expected, (ring.spec, depth, sign, addend is None)
+                    assert fused_counter.snapshot() == split_counter.snapshot()
+
+
+def test_fused_mul_needs_the_naive_strategy_and_one_ring(rng):
+    x, y = random_matrix(QQ, 1, rng), random_matrix(QQ, 1, rng)
+    with pytest.raises(ValueError):
+        mul(x, y, strategy="strassen", sign=-1)
+    with pytest.raises(ValueError):
+        mul(x, y, strategy="strassen", addend=x)
+    with pytest.raises(TypeError):
+        mul(x, y, addend=random_matrix(GF(7), 1, rng))
+    with pytest.raises(DepthMismatch):
+        mul(x, y, addend=random_matrix(QQ, 2, rng))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.spec)
 def test_row_storage_splits_joins_and_owns_its_rows(ring):
     rng = random.Random(stable_seed("row-storage", ring.spec))
     for depth in range(6):

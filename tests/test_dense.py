@@ -21,14 +21,13 @@ from blocklin import (
     Rational,
     dense_determinant,
     dense_mul,
-    gauss_jordan_inverse,
     is_invertible,
 )
 from blocklin.cyclotomic import lift_field
 from blocklin.rings import _Ring
 from blocklin.sampling import random_dense
 
-from conftest import COMPONENTS, mixed_denominator_operands, schoolbook_mul, stable_seed
+from conftest import COMPONENTS, gauss_jordan_inverse, mixed_denominator_operands, schoolbook_mul, stable_seed
 
 LIFT = lift_field(7, 8)
 KERNEL_RINGS = [QQ, QQ_I, QUAT, GF(2), GF(7), RatFun(QQ), RatFun(GF(7)), LIFT]

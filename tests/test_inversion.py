@@ -19,7 +19,6 @@ from blocklin import (
     SingularMatrix,
     auto_invert,
     from_dense,
-    gauss_jordan_inverse,
     hermitian_invert,
     identity,
     invert_gram_gv,
@@ -45,7 +44,7 @@ from blocklin.dense import dense_determinant
 from blocklin.rings import ring_from_spec
 from blocklin.sampling import random_all_blocks_singular, random_dense, random_matrix
 
-from conftest import grid, ring_dense, ring_mat, stable_seed, witness_all_blocks_singular
+from conftest import gauss_jordan_inverse, grid, ring_dense, ring_mat, stable_seed, witness_all_blocks_singular
 
 
 def random_invertible_dense(ring, n, rng):

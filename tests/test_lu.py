@@ -26,6 +26,7 @@ from blocklin import (
     ldu,
     lu_decompose,
     mul,
+    negate,
     randomized_lu,
     to_dense,
     tri_invert,
@@ -167,7 +168,7 @@ def test_tri_mul_all_variants_match_general_product(orientation, side):
         g = random_matrix(ring, depth, rng)
         pair = (tm.body, g) if side == "left" else (g, tm.body)
         expected = from_dense(schoolbook_mul(*map(to_dense, pair)))
-        counter = OpCounter()
+        counter, negated = OpCounter(), OpCounter()
         assert tri_mul(tm, g, side, counter) == expected, (ring.spec, depth)
         assert counter.snapshot() == {
             "mul": (n**3 + n**2) // 2,
@@ -175,6 +176,9 @@ def test_tri_mul_all_variants_match_general_product(orientation, side):
             "add": n * n * (n - 1) // 2,
             "scaling": 0,
         }, (ring.spec, depth)
+        # the sign is folded into the same kernel and, like negate, is free
+        assert tri_mul(tm, g, side, negated, sign=-1) == negate(expected), (ring.spec, depth)
+        assert negated.snapshot() == counter.snapshot()
 
 
 def test_tri_mul_depth_mismatch():
