@@ -116,6 +116,8 @@ def _schur(m, counter, path):
     a_inv = _schur(a, counter, path + ("A",))
     c_ainv, ainv_b, complement = schur_step(a_inv, b, c, d, counter)
     s_inv = _schur(complement, counter, path + ("S",))
+    # top_right is -(A^-1 B S^-1), so A^-1 + (A^-1 B S^-1)(C A^-1) is
+    # A^-1 - top_right (C A^-1)
     top_right = bm.mul(ainv_b, s_inv, counter, sign=-1)
     top_left = bm.mul(top_right, c_ainv, counter, sign=-1, addend=a_inv)
     bottom_left = bm.mul(s_inv, c_ainv, counter, sign=-1)
