@@ -1,23 +1,32 @@
-"""The finite field GF(p)[t]/Phi_l in which the base-field lift runs.
+"""The finite fields GF(p)[t]/Phi_l in which the base-field lift runs.
 
 :func:`~blocklin.inversion.invert_gram_gv` adjoins a variable t to GF(p).
 Instead of the rational function field K(t), where every canonical sum and
 product needs a polynomial gcd, it computes in GF(p)[t]/Phi_l with Phi_l
 the l-th cyclotomic polynomial, irreducible over GF(p) when p is a
-primitive root mod l.  Its elements offer exactly what the lift needs:
+primitive root mod l.  Two choices of l serve it.  :func:`small_field` is
+one field per p, with p^(l-1) >= 2^32 elements: the lift runs there
+first.  :func:`lift_field` is certified for n x n input, with
+l - 1 > n(n-1): the lift falls back to it when the small field meets a
+zero pivot.  Their elements offer exactly what the lift needs:
 ``t_power``, +, -, *, ``try_invert`` and ``is_constant`` /
-``constant_value``; the ring has no file syntax and no spec, and keeps the
-base ring handle's row kernels.  Inversion runs the extended Euclidean
-algorithm on GF(p)'s own polynomial kernels.
+``constant_value``; the rings have no file syntax and no spec.
+
+An element is packed into one int, a coefficient per slot.  Matrix
+products run on the field's own ``dot_rows``: each entry is one bigint sum
+of packed products, folded once by t^l = 1 and reduced once slot by slot,
+the same reduction (``_settle``) as a single product's.  Inversion runs
+the extended Euclidean algorithm on GF(p)'s own polynomial kernels.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .rings import GF, RingElement, _Ring, is_prime
 
-__all__ = ["lift_field"]
+__all__ = ["lift_field", "small_field"]
 
 
 def _prime_factors(n: int):
@@ -32,18 +41,23 @@ def _prime_factors(n: int):
     return factors
 
 
-def _lift_order(p: int, n: int) -> int:
-    """Smallest prime l with l - 1 > n(n-1) of which p is a primitive root.
+def _cyclotomic_order(p: int, order: int) -> bool:
+    """Whether order is a prime l of which p is a primitive root.
 
     p primitive mod l makes the cyclotomic polynomial Phi_l irreducible over
     GF(p), so GF(p)[t]/Phi_l is a field of degree l - 1.
     """
-    order = n * (n - 1) + 2
-    while not (
+    return bool(
         is_prime(order)
         and p % order
         and all(pow(p, (order - 1) // q, order) != 1 for q in _prime_factors(order - 1))
-    ):
+    )
+
+
+def _lift_order(p: int, n: int) -> int:
+    """Smallest prime l with l - 1 > n(n-1) of which p is a primitive root."""
+    order = n * (n - 1) + 2
+    while not _cyclotomic_order(p, order):
         order += 1
     return order
 
@@ -122,12 +136,16 @@ class _CyclotomicField(_Ring):
     """GF(p)[t]/Phi_l with t a primitive l-th root of unity.
 
     An element is sum c_i t^i with 0 <= c_i < p and i < l - 1, packed into
-    one int: c_i sits in bytes [i*w, (i+1)*w).  The slot width leaves room
-    for the l - 1 products that a multiplication adds into one slot, so a
-    product is one bigint multiplication followed by a fold (t^l = 1), a
+    one int: c_i sits in bytes [i*w, (i+1)*w).  A product of two packed
+    elements puts at most l - 1 products of two coefficients into a slot
+    once it is folded by t^l = 1, so at most (l - 1)(p - 1)^2.  The slot
+    width is one byte more than that load needs, so a slot holds the sum of
+    ``chunk`` >= 256 such products: a dot product of up to ``chunk`` terms
+    is one bigint sum of products, settled once (``_settle``: the fold, a
     reduction of each slot mod p, and the elimination of t^(l-1) with
-    Phi_l = 1 + t + ... + t^(l-1).  Sums and differences reduce all slots
-    at once with a guard bit per slot; over GF(2) they are XOR.
+    Phi_l = 1 + t + ... + t^(l-1)), and longer ones are summed chunk by
+    chunk.  Sums and differences reduce all slots at once with a guard bit
+    per slot; over GF(2) they are XOR.
     """
 
     def __init__(self, p: int, order: int):
@@ -135,8 +153,11 @@ class _CyclotomicField(_Ring):
         self.order = order
         self.spec = f"gf:{p}[t]/phi{order}"
         self._guard = (2 * p - 1).bit_length()
-        bits = max(((order - 1) * (p - 1) ** 2).bit_length(), self._guard + 1)
-        self.nbytes = w = -(-bits // 8)
+        # one byte more than a folded product's load needs, so a slot sums
+        # at least 256 of them; that also leaves a sum its guard bit
+        load = (order - 1) * (p - 1) ** 2
+        self.nbytes = w = -(-load.bit_length() // 8) + 1
+        self.chunk = (256**w - 1) // load
         self.width = 8 * w
         slot_ones = int.from_bytes(b"\x01".ljust(w, b"\x00") * order, "little")
         self._top = self.width * (order - 1)
@@ -149,13 +170,13 @@ class _CyclotomicField(_Ring):
         if p == 2:
             self.add = self.sub = self._xor
             self.neg = self._same
-            self.mul = self._mul_gf2
+            self._settle = self._settle_gf2
         elif w * p < 256:
             # byte j of a slot weighs 256^j; its share mod p is a table lookup,
             # and the w shares of a slot sum to below 256
             self._byte_mod = [bytes(b * 256**j % p for b in range(256)) for j in range(w)]
             self._minus = [bytes((b - c) % p for b in range(256)) for c in range(p)]
-            self.mul = self._mul_bytes
+            self._settle = self._settle_bytes
 
     def zero(self):
         return _CyclotomicElement(0, self)
@@ -190,26 +211,62 @@ class _CyclotomicField(_Ring):
     def neg(self, a):
         return self._reduce(self._p_all - a)
 
-    def _folded(self, a, b):
-        prod = a * b
-        return (prod & self._mask) + (prod >> self._fold)
-
     def mul(self, a, b):
+        return self._settle(a * b)
+
+    def dot_rows(self, rows, cols, addend=None, sign=1):
+        """Row lists: entry (i, j) is sign * (rows[i] . cols[j]) + addend[i][j].
+
+        Each dot product of up to ``chunk`` terms is one bigint sum of
+        packed products and one ``_settle``; the sign and the addend then
+        meet the settled value through ``neg``, ``add`` or ``sub``.  Field
+        arithmetic is canonical, so the entries equal those of the
+        pairwise scalar kernel of :meth:`_Ring.dot_rows`.
+        """
+        left = [[x.value for x in row] for row in rows]
+        right = [[x.value for x in col] for col in cols]
+        if left and len(left[0]) > self.chunk:
+            sums = [[self._chunked_dot(a, b) for b in right] for a in left]
+        else:
+            settle, mul = self._settle, operator.mul
+            sums = [[settle(sum(map(mul, a, b))) for b in right] for a in left]
+        if addend is None:
+            if sign < 0:
+                sums = [list(map(self.neg, row)) for row in sums]
+            return [[_CyclotomicElement(v, self) for v in row] for row in sums]
+        combine = self.add if sign > 0 else self.sub
+        return [
+            [_CyclotomicElement(combine(z.value, v), self) for z, v in zip(z_row, row)]
+            for z_row, row in zip(addend, sums)
+        ]
+
+    def _chunked_dot(self, a, b):
+        step = self.chunk
+        total = 0
+        for k in range(0, len(a), step):
+            total = self.add(total, self._settle(sum(map(operator.mul, a[k : k + step], b[k : k + step]))))
+        return total
+
+    def _settle(self, v):
+        """Reduce a sum of packed products to a packed element.
+
+        Folds t^l = 1, reduces each of the l slots mod p and eliminates
+        t^(l-1).  ``__init__`` replaces it with a byte-table reduction for
+        small p and with a parity mask over GF(2).
+        """
         p = self.p
-        slots = self._unpack(self._folded(a, b), self.order)
+        slots = self._unpack((v & self._mask) + (v >> self._fold), self.order)
         top = slots[-1]
         return self._pack([(c - top) % p for c in slots[:-1]])
 
-    def _mul_bytes(self, a, b):
+    def _settle_bytes(self, v):
         w, order = self.nbytes, self.order
-        data = self._folded(a, b).to_bytes(order * w, "little")
+        data = ((v & self._mask) + (v >> self._fold)).to_bytes(order * w, "little")
         total = 0
         for j, table in enumerate(self._byte_mod):
             total += int.from_bytes(data[j::w].translate(table), "little")
         residues = total.to_bytes(order, "little").translate(self._byte_mod[0])
         out = residues[:-1].translate(self._minus[residues[-1]])
-        if w == 1:
-            return int.from_bytes(out, "little")
         spread = bytearray(len(out) * w)
         spread[::w] = out
         return int.from_bytes(spread, "little")
@@ -222,9 +279,9 @@ class _CyclotomicField(_Ring):
     def _same(a):
         return a
 
-    def _mul_gf2(self, a, b):
+    def _settle_gf2(self, v):
         # the lowest bit of each slot is its sum mod 2
-        v = self._folded(a, b) & self._ones_full
+        v = ((v & self._mask) + (v >> self._fold)) & self._ones_full
         if v >> self._top:
             v ^= self._ones_full
         return v
@@ -259,13 +316,30 @@ class _CyclotomicField(_Ring):
 
 
 @lru_cache(maxsize=None)
+def small_field(p: int) -> _CyclotomicField:
+    """The field GF(p)[t]/Phi_l in which the base-field lift runs first.
+
+    l is the smallest prime of which p is a primitive root with
+    p^(l-1) >= 2^32: 37 for p = 2, 13 for p = 7, 17 for p = 65521, and 2
+    (t = -1 in GF(p) itself) for p > 2^32.  No degree bound makes its
+    pivots those of K(t); a run there that meets no zero pivot is exact all
+    the same (see :func:`~blocklin.inversion.invert_gram_gv`).
+    """
+    order = 2
+    while not (p ** (order - 1) >= 2**32 and _cyclotomic_order(p, order)):
+        order += 1
+    return _CyclotomicField(p, order)
+
+
+@lru_cache(maxsize=None)
 def lift_field(p: int, n: int) -> _CyclotomicField:
-    """The field GF(p)[t]/Phi_l that the base-field lift of an n x n matrix runs in.
+    """The certified field GF(p)[t]/Phi_l for the base-field lift of an n x n matrix.
 
     l is the smallest prime with l - 1 > n(n-1) of which p is a primitive
     root.  The leading minors of the lifted Gram matrix are t-power multiples
     of polynomials of degree at most n(n-1) < deg Phi_l, so none that is
     nonzero in K(t) vanishes at t: the inversion meets the same pivots and
-    the same zero pivots as in K(t).
+    the same zero pivots as in K(t).  The lift falls back to this field
+    when :func:`small_field` meets a zero pivot.
     """
     return _CyclotomicField(p, _lift_order(p, n))

@@ -16,8 +16,9 @@ Four inverters, none of which ever touches an individual row:
   variable t, conjugate with the diagonal t-power weight matrix, invert the
   resulting self-adjoint Gram matrix, and project the constant result back
   to K.  Over the rationals t stays a variable (the field K(t)); over GF(p)
-  it is a root of unity in the finite field GF(p)[t]/Phi_l, whose degree
-  is large enough that no pivot of the inversion changes.
+  it is a root of unity in a finite field GF(p)[t]/Phi_l: first a small
+  one, then, only if that run meets a zero pivot, one whose degree is
+  large enough that no pivot of the inversion changes.
 
 The self-adjoint inversion core (:func:`hermitian_invert`) exploits the
 Gram symmetry of its input: per node it spends exactly four half-size
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from . import blockmat as bm
 from .blockmat import BlockMatrix, OpCounter
 from .errors import GramSingular, NonConstantResidue, PivotBlockSingular
-from .cyclotomic import lift_field
+from .cyclotomic import lift_field, small_field
 from .dense import DenseMatrix
 from .rings import QQ, RatFun
 
@@ -252,28 +253,61 @@ def invert_gram_gv(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMat
     non-constant entry is an internal fault and raises instead of being
     truncated.
 
-    Over the rationals the lift runs in K(t).  Over GF(p) it runs in
-    GF(p)[t]/Phi_l (:func:`~blocklin.cyclotomic.lift_field`), where t is a
-    primitive l-th root of unity of degree l - 1 > n(n-1) over GF(p): every
-    leading minor of M°M is a t-power times a polynomial of degree at most
-    n(n-1), so each is zero there exactly when it is zero in K(t).  The inversion therefore meets
-    the same pivots, fails at the same node on singular input, and costs
-    the same counted operations, with no gcd per operation.
+    Over the rationals the lift runs in K(t).  Over GF(p) it runs first in
+    the small field GF(p)[t]/Phi_l of :func:`~blocklin.cyclotomic.small_field`,
+    and, if that run meets a zero pivot, again in the certified field
+    (:func:`~blocklin.cyclotomic.lift_field`), whose t is a primitive l-th
+    root of unity of degree l - 1 > n(n-1) over GF(p): every leading minor
+    of M°M is a t-power times a polynomial of degree at most n(n-1), so
+    each is zero there exactly when it is zero in K(t).  The first run is
+    exact whenever it succeeds: for any t != 0, a recursion that meets no
+    zero pivot returns (M°M)^-1 M° = M^-1, which is unique, and its counts
+    depend on the shape alone.  Singular input always meets a zero pivot,
+    so its failure, node and message come from the certified run, as do
+    the inverse and counts of the rare invertible input whose first run
+    fails.  The counter holds only the run whose outcome is returned
+    (:func:`_cheap_then_certified`).  No operation needs a gcd.
     """
     counter = counter if counter is not None else OpCounter()
     base = m.ring
     if base is QQ:
-        target = RatFun(base)
+        targets = (RatFun(base),)
     elif base.spec.startswith("gf:"):
-        target = lift_field(base.p, m.dimension)
+        cheap, certified = small_field(base.p), lift_field(base.p, m.dimension)
+        targets = (cheap, certified) if cheap.order < certified.order else (certified,)
     else:
         raise TypeError("base-field lift needs rational or prime-field entries")
-    lifted = bm.map_leaves(m, target.lift)
-    conj = bm.circ_conjugate(lifted, counter)
-    gram = GramMatrix(bm.mul(conj, lifted, counter), ConjugationKind.CIRC)
-    gram_inv = hermitian_invert(gram, counter)
-    pre_projection = bm.mul(gram_inv, conj, counter)
-    return project_to_base(pre_projection, base)
+
+    def run(target, tally):
+        lifted = bm.map_leaves(m, target.lift)
+        conj = bm.circ_conjugate(lifted, tally)
+        gram = GramMatrix(bm.mul(conj, lifted, tally), ConjugationKind.CIRC)
+        gram_inv = hermitian_invert(gram, tally)
+        return project_to_base(bm.mul(gram_inv, conj, tally), base)
+
+    return _cheap_then_certified(run, targets, counter)
+
+
+def _cheap_then_certified(run, targets, counter):
+    """``run(target, tally)`` in each target ring until one meets no zero pivot.
+
+    Every target but the last is a cheap ring, where a run that meets no
+    zero pivot is exact; it tallies on a scratch counter, merged into
+    ``counter`` only when its result is returned.  A GramSingular from it
+    is discarded, and the next target runs.  The last target is certified:
+    its outcome, result or GramSingular, is final, and it tallies on
+    ``counter`` itself.
+    """
+    *cheap, certified = targets
+    for target in cheap:
+        scratch = OpCounter()
+        try:
+            result = run(target, scratch)
+        except GramSingular:
+            continue
+        counter.merge(scratch)
+        return result
+    return run(certified, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ Each ring handle also owns the row kernels of matrix code, ``dot_rows``
 and ``pivot_product`` (forward elimination).  ``dot_rows``
 runs on integers over common denominators for QQ, QQ_I and QUAT (the
 latter two through one kernel read from each algebra's structure table),
-on raw residues for GF(p), and on scalar objects only for K(t) and the
-lift field.  ``pivot_product`` runs on integers for QQ, on residues for
+on raw residues for GF(p), on packed ints for the lift fields of
+:mod:`blocklin.cyclotomic`, and on scalar objects only for K(t).
+``pivot_product`` runs on integers for QQ, on residues for
 GF(p), and on scalar objects elsewhere.
 
 One more ring, with no file syntax and no spec, lives in
@@ -680,8 +681,9 @@ class _Ring:
         ``sign`` is 1 or -1, and ``addend``, when given, holds the rows of a
         matrix of the output's shape; every kernel folds both into the one
         value it builds per entry, so no second pass follows the product.
-        This scalar-object kernel serves K(t) and the lift field; QQ, GF(p),
-        QQ_I and QUAT override it with kernels on integers or residues.
+        This scalar-object kernel serves K(t) only; QQ, GF(p), QQ_I, QUAT
+        and the lift fields override it with kernels on integers, residues
+        or packed ints.
         Products are taken left times right and summed in adjacent pairs,
         level by level, an odd last term carried up unchanged: at
         power-of-two lengths the order of the block recursion, whose
