@@ -10,13 +10,10 @@ first.  :func:`lift_field` is certified for n x n input, with
 l - 1 > n(n-1): the lift falls back to it when the small field meets a
 zero pivot.  Their elements offer exactly what the lift needs:
 ``t_power``, +, -, *, ``try_invert`` and ``is_constant`` /
-``constant_value``; the rings have no file syntax and no spec.
-
-An element is packed into one int, a coefficient per slot.  Matrix
-products run on the field's own ``dot_rows``: each entry is one bigint sum
-of packed products, folded once by t^l = 1 and reduced once slot by slot,
-the same reduction (``_settle``) as a single product's.  Inversion runs
-the extended Euclidean algorithm on GF(p)'s own polynomial kernels.
+``constant_value``; the rings have no file syntax and no spec.  An element
+is one packed int, and matrix products run on the field's own packed
+``dot_rows``.  Inversion runs the extended Euclidean algorithm on GF(p)'s
+own polynomial kernels.
 """
 
 from __future__ import annotations
@@ -248,12 +245,8 @@ class _CyclotomicField(_Ring):
         return total
 
     def _settle(self, v):
-        """Reduce a sum of packed products to a packed element.
-
-        Folds t^l = 1, reduces each of the l slots mod p and eliminates
-        t^(l-1).  ``__init__`` replaces it with a byte-table reduction for
-        small p and with a parity mask over GF(2).
-        """
+        # a sum of packed products to a packed element; __init__ swaps in a
+        # byte-table reduction for small p and a parity mask over GF(2)
         p = self.p
         slots = self._unpack((v & self._mask) + (v >> self._fold), self.order)
         top = slots[-1]

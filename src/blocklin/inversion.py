@@ -291,12 +291,9 @@ def invert_gram_gv(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMat
 def _cheap_then_certified(run, targets, counter):
     """``run(target, tally)`` in each target ring until one meets no zero pivot.
 
-    Every target but the last is a cheap ring, where a run that meets no
-    zero pivot is exact; it tallies on a scratch counter, merged into
-    ``counter`` only when its result is returned.  A GramSingular from it
-    is discarded, and the next target runs.  The last target is certified:
-    its outcome, result or GramSingular, is final, and it tallies on
-    ``counter`` itself.
+    Runs in the cheap targets tally on a scratch counter, merged only when
+    their result is returned; a GramSingular from one is discarded.  The
+    last target is certified: its outcome is final, tallied on ``counter``.
     """
     *cheap, certified = targets
     for target in cheap:

@@ -107,6 +107,13 @@ def test_invert_method_dispatch_and_exit_codes(tmp_path):
     assert run("invert", str(perm), "--method", "gv", "-o", str(out)) == 0
 
 
+def test_invert_gv_pipeline_over_gf7_at_n32(tmp_path):
+    m, inv = tmp_path / "m.mat", tmp_path / "inv.mat"
+    assert run("gen", "--ring", "gf:7", "--size", "32", "--seed", "21", "--invertible", "-o", str(m)) == 0
+    assert run("invert", str(m), "--method", "gv", "-o", str(inv)) == 0
+    assert run("check", "--kind", "inverse", str(m), str(inv)) == 0
+
+
 def test_invert_non_power_of_two_projects_back(tmp_path):
     m = tmp_path / "m3.mat"
     m.write_text("ring q\nsize 3\n1 0 0\n0 2 0\n0 0 4\n")

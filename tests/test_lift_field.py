@@ -1,4 +1,9 @@
-"""The base-field lift in GF(p)[t]/Phi_l, checked against the K(t) route."""
+"""The base-field lift in GF(p)[t]/Phi_l, checked against the K(t) route.
+
+``invert_gram_gv`` runs first in the small field ``small_field(p)`` and
+falls back to the certified ``lift_field(p, n)``; both routes, the K(t)
+route and the packed row kernel of the fields are held to each other here.
+"""
 
 import itertools
 import random
@@ -14,16 +19,21 @@ from blocklin import (
     OpCounter,
     SingularMatrix,
     circ_conjugate,
+    dense_identity,
     from_dense,
     hermitian_invert,
     invert_gram_gv,
+    is_invertible,
     lift_to_ratfun,
+    map_leaves,
     mul,
     project_to_base,
+    to_dense,
 )
+from blocklin import inversion
 from blocklin.complexity import recurrence_T_hermitian
-from blocklin.cyclotomic import lift_field
-from blocklin.rings import is_prime
+from blocklin.cyclotomic import _CyclotomicField, lift_field, small_field
+from blocklin.rings import _Ring, is_prime
 from blocklin.sampling import random_dense
 
 from conftest import stable_seed
@@ -97,10 +107,10 @@ def test_lift_field_products_and_inverses(p):
             assert a + (-a) == field.lift(GF(p).zero())
 
 
-def reference_gv(m):
-    """The K(t) route: the inverse or the zero-pivot message, and the counts."""
+def lift_route(m, lifted):
+    """The lift of m in one ring, given as ``lifted``: the inverse or the
+    zero-pivot message, and the counts."""
     counter = OpCounter()
-    lifted = lift_to_ratfun(m)
     conj = circ_conjugate(lifted, counter)
     gram = GramMatrix(mul(conj, lifted, counter), ConjugationKind.CIRC)
     try:
@@ -108,6 +118,16 @@ def reference_gv(m):
     except GramSingular as exc:
         return str(exc), counter.snapshot()
     return project_to_base(mul(gram_inv, conj, counter), m.ring), counter.snapshot()
+
+
+def reference_gv(m):
+    """The K(t) route."""
+    return lift_route(m, lift_to_ratfun(m))
+
+
+def full_lift_gv(m):
+    """One run in the certified field ``lift_field(p, n)`` alone."""
+    return lift_route(m, map_leaves(m, lift_field(m.ring.p, m.dimension).lift))
 
 
 def lifted_gv(m):
@@ -162,3 +182,106 @@ def test_lift_count_law(p):
             except SingularMatrix:
                 counter = OpCounter()
         assert counter.muldiv == 2 * n**3 + recurrence_T_hermitian(n)
+
+
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_small_field_orders(p):
+    field = small_field(p)
+    order = field.order
+    assert order == {2: 37, 7: 13, 65521: 17}[p]
+    assert is_primitive_root(p, order) and p ** (order - 1) >= 2**32
+    for smaller in range(2, order):
+        assert not (is_prime(smaller) and is_primitive_root(p, smaller) and p ** (smaller - 1) >= 2**32)
+    assert small_field(p) is field
+
+
+def weak_lead(field, n, rng):
+    """An invertible matrix with a zero top-left entry, so that the Schur
+    recursion cannot invert it and the lift does the work."""
+    while True:
+        rows = [list(r) for r in random_dense(field, n, rng).rows]
+        rows[0][0] = field.zero()
+        dense = DenseMatrix(n, rows, field)
+        if is_invertible(dense):
+            return dense
+
+
+def repeated_row(field, n, rng):
+    rows = [list(r) for r in random_dense(field, n, rng).rows]
+    i, j = rng.sample(range(n), 2)
+    rows[j] = list(rows[i])
+    return DenseMatrix(n, rows, field)
+
+
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_small_field_first_matches_full_lift_and_ratfun(p):
+    """Inverse, counts and GramSingular message equal those of one run in the
+    certified field at every n <= 16, and those of K(t) at n <= 8 (K(t)
+    takes seconds per input at n = 16; the tests above hold the certified
+    field to it)."""
+    field = GF(p)
+    rng = random.Random(stable_seed("small-field-first", p))
+    outcomes = {True: 0, False: 0}
+    for n in (2, 4, 8, 16):
+        for dense in (random_dense(field, n, rng), weak_lead(field, n, rng), repeated_row(field, n, rng)):
+            m = from_dense(dense)
+            got = lifted_gv(m)
+            assert got == full_lift_gv(m), (p, n)
+            if n <= 8:
+                assert got == reference_gv(m), (p, n)
+            outcomes[isinstance(got[0], str)] += 1
+    assert all(outcomes.values())
+
+
+def test_fallback_on_invertible_input_equals_one_full_lift_run(monkeypatch):
+    """With the small field forced to GF(4) = GF(2)[t]/Phi_3, some invertible
+    input meets a zero pivot there; the second run in the certified field
+    then gives the inverse and the counts of that run alone."""
+    tiny = _CyclotomicField(2, 3)
+    monkeypatch.setattr(inversion, "small_field", lambda p: tiny)
+    rng = random.Random(stable_seed("forced-fallback"))
+    for _ in range(200):
+        dense = weak_lead(GF(2), 4, rng)
+        m = from_dense(dense)
+        if isinstance(lift_route(m, map_leaves(m, tiny.lift))[0], str):
+            break
+    else:
+        pytest.fail("no invertible input meets a zero pivot in GF(4)")
+    got = lifted_gv(m)
+    assert not isinstance(got[0], str)
+    assert got == full_lift_gv(m) == reference_gv(m)
+    assert to_dense(mul(m, got[0])).rows == dense_identity(4, GF(2)).rows
+
+
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_packed_dot_rows_matches_pairwise_scalar_kernel(p):
+    """``_CyclotomicField.dot_rows`` against ``_Ring.dot_rows`` on the same
+    elements, in the small and a certified field: both signs, with and
+    without an addend, on random operands and on operands whose every
+    coefficient is p - 1, the most a slot can be loaded, at short lengths
+    and one past the chunk, where a second chunk starts.  Past the chunk
+    the pairwise kernel runs once on the worst load, and the sign and
+    addend meet its sum as they do inside it (-s, z + s, z - s)."""
+    rng = random.Random(stable_seed("packed-dot-rows", p))
+    for field in (small_field(p), lift_field(p, 8)):
+        k = field.order - 1
+        full = element(field, [p - 1] * k)
+
+        def draw():
+            return element(field, [rng.randrange(p) for _ in range(k)])
+
+        z = [[draw(), full]]
+        for length in (1, 2, 5):
+            rows = [[full] * length, [draw() for _ in range(length)]]
+            cols = [[full] * length, [draw() for _ in range(length)]]
+            for sign in (1, -1):
+                for addend in (None, z * 2):
+                    want = _Ring.dot_rows(field, rows, cols, addend, sign)
+                    assert field.dot_rows(rows, cols, addend, sign) == want, (field.spec, length)
+        rows = cols = [[full] * (field.chunk + 1)]
+        [[s]] = _Ring.dot_rows(field, rows, cols)
+        y = z[0][0]
+        assert field.dot_rows(rows, cols) == [[s]], field.spec
+        assert field.dot_rows(rows, cols, sign=-1) == [[-s]], field.spec
+        assert field.dot_rows(rows, cols, [[y]]) == [[y + s]], field.spec
+        assert field.dot_rows(rows, cols, [[y]], -1) == [[y - s]], field.spec

@@ -14,6 +14,10 @@ quaternion domain, so quaternion inverses from both routes are held to
 M X = X M = I under the tests' schoolbook product, which shares no kernel
 with the package.
 
+Over GF(2), GF(7) and GF(65521), sympy's ``DomainMatrix`` inverse checks
+the base-field lift :func:`invert_gram_gv`, which runs in a cyclotomic
+extension of GF(p), at n = 8, 16 and 32.
+
 sympy's ``K.frac_field(t)`` checks the rational functions over QQ, GF(2)
 and GF(7) in the same way: sums, differences, products, inverses,
 negations and the token syntax (parse, then format) of ``RatFun(K)``;
@@ -45,6 +49,7 @@ from blocklin import (  # noqa: E402
     dense_identity,
     dense_mul,
     from_dense,
+    invert_gram_gv,
     invert_gram_star,
     is_invertible,
     schur_invert,
@@ -52,7 +57,7 @@ from blocklin import (  # noqa: E402
     ZeroDenominator,
     ratfun_reduce,
 )
-from blocklin.sampling import random_all_blocks_singular  # noqa: E402
+from blocklin.sampling import random_all_blocks_singular, random_invertible  # noqa: E402
 
 from conftest import COMPONENTS, schoolbook_mul, stable_seed, witness_all_blocks_singular  # noqa: E402
 
@@ -124,6 +129,19 @@ def test_kernels_agree_with_sympy(p):
             ], (p, n)
     # both decisions are exercised on every field
     assert decisions[True] and decisions[False]
+
+
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_gf_lift_inverses_agree_with_sympy(p):
+    rng = random.Random(stable_seed("sympy-gv", p))
+    for depth in (3, 4, 5):
+        m = random_invertible(GF(p), depth, rng)
+        rows = [[x.residue for x in row] for row in to_dense(m).rows]
+        want = theirs(p, rows).inv().to_list()
+        got = to_dense(invert_gram_gv(m)).rows
+        assert [[as_ours(p, x) for x in row] for row in got] == [
+            [as_plain(p, x) for x in row] for row in want
+        ], (p, m.dimension)
 
 
 # -- Gaussian rationals against sympy's QQ_I, quaternions by schoolbook -----
