@@ -12,7 +12,6 @@ from .blockmat import (
     map_leaves,
     mul,
     negate,
-    scale_all,
     sub,
     to_dense,
     transpose,

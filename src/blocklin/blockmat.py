@@ -49,7 +49,6 @@ __all__ = [
     "transpose",
     "adjoint",
     "circ_conjugate",
-    "scale_all",
 ]
 
 
@@ -349,13 +348,6 @@ def adjoint(m: BlockMatrix) -> BlockMatrix:
     """Transpose with the scalar involution applied to every entry."""
     rows = tuple(tuple(x.star() for x in col) for col in zip(*m._rows))
     return BlockMatrix(rows, m.depth)
-
-
-def scale_all(m: BlockMatrix, factor, counter: OpCounter | None = None) -> BlockMatrix:
-    """Multiply every entry by one scalar, tallied as scalings, not products."""
-    counter = counter if counter is not None else OpCounter()
-    counter.scaling_count += m.dimension**2
-    return map_leaves(m, lambda x: x * factor)
 
 
 def circ_conjugate(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:

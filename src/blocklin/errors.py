@@ -1,6 +1,12 @@
 """Exception types shared across the library."""
 
 
+def node_name(path) -> str:
+    """A recursion node's path as messages print it: steps joined by '/',
+    '<root>' for the empty path."""
+    return "/".join(path) or "<root>"
+
+
 class BlocklinError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -30,7 +36,7 @@ class PivotBlockSingular(BlocklinError):
 
     def __init__(self, path=()):
         self.path = tuple(path)
-        super().__init__(f"pivot block singular at node {'/'.join(self.path) or '<root>'}")
+        super().__init__(f"pivot block singular at node {node_name(self.path)}")
 
 
 class SingularMatrix(BlocklinError):
@@ -63,7 +69,7 @@ class SingularDiagonal(BlocklinError):
 
     def __init__(self, path=()):
         self.path = tuple(path)
-        super().__init__(f"singular diagonal at node {'/'.join(self.path) or '<root>'}")
+        super().__init__(f"singular diagonal at node {node_name(self.path)}")
 
 
 class AllBlocksSingular(BlocklinError):
@@ -82,5 +88,5 @@ class RandomnessExhausted(BlocklinError):
     def __init__(self, path=()):
         self.path = tuple(path)
         super().__init__(
-            f"invertible, but no block swap factors node {'/'.join(self.path) or '<root>'}"
+            f"invertible, but no block swap factors node {node_name(self.path)}"
         )

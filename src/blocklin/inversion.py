@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import blockmat as bm
 from .blockmat import BlockMatrix, OpCounter
-from .errors import GramSingular, NonConstantResidue, PivotBlockSingular
+from .errors import GramSingular, NonConstantResidue, PivotBlockSingular, node_name
 from .cyclotomic import lift_field, small_field
 from .dense import DenseMatrix
 from .rings import QQ, RatFun
@@ -76,7 +76,7 @@ class GramMatrix:
 
 
 # ---------------------------------------------------------------------------
-# direct Schur-complement inversion
+# block elimination: the Schur node and its self-adjoint form
 
 
 def schur_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatrix:
@@ -87,7 +87,11 @@ def schur_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatri
     otherwise.  Use a Gram driver when that precondition cannot be met.
     """
     counter = counter if counter is not None else OpCounter()
-    return _schur(m, counter, ())
+
+    def recurse(n, path):
+        return _node(n, counter, recurse, path)
+
+    return recurse(m, ())
 
 
 def _invert_leaf(leaf, counter, path, error):
@@ -100,36 +104,10 @@ def _invert_leaf(leaf, counter, path, error):
 
 
 def _zero_pivot(path):
-    return GramSingular(f"zero pivot at node {'/'.join(path) or '<root>'}")
+    return GramSingular(f"zero pivot at node {node_name(path)}")
 
 
-def schur_step(a_inv, b, c, d, counter):
-    """One block elimination: (C A^-1, A^-1 B, D - C A^-1 B), three products."""
-    c_ainv = bm.mul(c, a_inv, counter)
-    ainv_b = bm.mul(a_inv, b, counter)
-    return c_ainv, ainv_b, bm.mul(c_ainv, b, counter, sign=-1, addend=d)
-
-
-def _schur(m, counter, path):
-    if m.is_leaf:
-        return _invert_leaf(m, counter, path, PivotBlockSingular)
-    a, b, c, d = m.blocks
-    a_inv = _schur(a, counter, path + ("A",))
-    c_ainv, ainv_b, complement = schur_step(a_inv, b, c, d, counter)
-    s_inv = _schur(complement, counter, path + ("S",))
-    # top_right is -(A^-1 B S^-1), so A^-1 + (A^-1 B S^-1)(C A^-1) is
-    # A^-1 - top_right (C A^-1)
-    top_right = bm.mul(ainv_b, s_inv, counter, sign=-1)
-    top_left = bm.mul(top_right, c_ainv, counter, sign=-1, addend=a_inv)
-    bottom_left = bm.mul(s_inv, c_ainv, counter, sign=-1)
-    return BlockMatrix.quad(top_left, top_right, bottom_left, s_inv)
-
-
-# ---------------------------------------------------------------------------
-# self-adjoint inversion core
-
-
-def _mirror(block: BlockMatrix, kind: ConjugationKind, half: int, counter: OpCounter):
+def _mirror(block: BlockMatrix, kind: ConjugationKind, counter: OpCounter):
     """Reconstruct the mirrored off-diagonal block from its partner.
 
     Costs no multiplications: transposition, involution, and (for the
@@ -139,30 +117,47 @@ def _mirror(block: BlockMatrix, kind: ConjugationKind, half: int, counter: OpCou
         return bm.transpose(block)
     if kind is ConjugationKind.STAR:
         return bm.adjoint(block)
-    # entry (i, j) is t**(j-i-half) * block[j][i]: circ conjugation and the
-    # whole-block scaling by t**-half in one pass, tallied as both
-    return bm._circ_conjugate(block, -half, counter)
+    # entry (i, j) is t**(j-i-half) * block[j][i], half being the dimension
+    # of the block: circ conjugation and the whole-block scaling by
+    # t**-half in one pass, tallied as both
+    return bm._circ_conjugate(block, -block.dimension, counter)
 
 
-def _self_adjoint_node(n, kind, counter, sub_invert, path):
-    """One node of the symmetric inversion.
+def schur_step(a_inv, b, c, d, counter, mirror=None):
+    """One block elimination: (C A^-1, A^-1 B, D - C A^-1 B), three products.
 
-    Ops per node: 2 recursive half-size inversions (through ``sub_invert``)
-    and exactly 4 half-size multiplications; the lower-left data is implied
-    by the symmetry and rebuilt multiplication-free.
+    With a conjugation kind as ``mirror``, C A^-1 is A^-1 B mirrored by
+    :func:`_mirror` instead of multiplied, and the step takes two products.
+    """
+    ainv_b = bm.mul(a_inv, b, counter)
+    c_ainv = bm.mul(c, a_inv, counter) if mirror is None else _mirror(ainv_b, mirror, counter)
+    return c_ainv, ainv_b, bm.mul(c_ainv, b, counter, sign=-1, addend=d)
+
+
+def _node(n, counter, sub_invert, path, mirror=None):
+    """One node of block inversion, the leading block and the complement
+    inverted through ``sub_invert``.
+
+    With ``mirror`` None this is the Schur node: 6 half-size products, and
+    a zero leaf raises PivotBlockSingular.  With the conjugation kind of a
+    self-adjoint ``n`` it is the symmetric node: exactly 4 products, the
+    lower-left data implied by the symmetry and rebuilt multiplication-free,
+    and a zero leaf raises GramSingular.
     """
     if n.is_leaf:
-        return _invert_leaf(n, counter, path, _zero_pivot)
-    a, b, _, d = n.blocks
-    half = n.dimension // 2
+        return _invert_leaf(n, counter, path, PivotBlockSingular if mirror is None else _zero_pivot)
+    a, b, c, d = n.blocks
     a_inv = sub_invert(a, path + ("A",))
-    ainv_b = bm.mul(a_inv, b, counter)                                     # 1
-    c_ainv = _mirror(ainv_b, kind, half, counter)
-    complement = bm.mul(c_ainv, b, counter, sign=-1, addend=d)             # 2
+    c_ainv, ainv_b, complement = schur_step(a_inv, b, c, d, counter, mirror)
     s_inv = sub_invert(complement, path + ("S",))
-    top_right = bm.mul(ainv_b, s_inv, counter, sign=-1)                    # 3
-    top_left = bm.mul(top_right, c_ainv, counter, sign=-1, addend=a_inv)   # 4
-    bottom_left = _mirror(top_right, kind, half, counter)
+    # top_right is -(A^-1 B S^-1), so A^-1 + (A^-1 B S^-1)(C A^-1) is
+    # A^-1 - top_right (C A^-1)
+    top_right = bm.mul(ainv_b, s_inv, counter, sign=-1)
+    top_left = bm.mul(top_right, c_ainv, counter, sign=-1, addend=a_inv)
+    if mirror is None:
+        bottom_left = bm.mul(s_inv, c_ainv, counter, sign=-1)
+    else:
+        bottom_left = _mirror(top_right, mirror, counter)
     return BlockMatrix.quad(top_left, top_right, bottom_left, s_inv)
 
 
@@ -179,7 +174,7 @@ def hermitian_invert(gram: GramMatrix, counter: OpCounter | None = None) -> Bloc
     kind = gram.kind
 
     def recurse(n, path):
-        return _self_adjoint_node(n, kind, counter, recurse, path)
+        return _node(n, counter, recurse, path, kind)
 
     return recurse(gram.matrix, ())
 
@@ -202,9 +197,7 @@ def invert_gram_transpose(m: BlockMatrix, counter: OpCounter | None = None) -> B
             return _invert_leaf(x, counter, path, _zero_pivot)
         xt = bm.transpose(x)
         gram = bm.mul(xt, x, counter)
-        gram_inv = _self_adjoint_node(
-            gram, ConjugationKind.TRANSPOSE, counter, driver, path
-        )
+        gram_inv = _node(gram, counter, driver, path, ConjugationKind.TRANSPOSE)
         return bm.mul(gram_inv, xt, counter)
 
     return driver(m, ())

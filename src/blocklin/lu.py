@@ -34,8 +34,9 @@ from .errors import (
     RandomnessExhausted,
     SingularDiagonal,
     SingularMatrix,
+    node_name,
 )
-from .inversion import auto_invert, is_invertible, schur_step
+from .inversion import _invert_leaf, auto_invert, is_invertible, schur_step
 
 __all__ = [
     "LOWER",
@@ -259,11 +260,7 @@ def tri_invert(tm: TriangularMatrix, counter: OpCounter | None = None) -> Triang
 def _tri_invert(tm, counter, path):
     body = tm.body
     if body.is_leaf:
-        inv = body.scalar.try_invert()
-        if inv is None:
-            raise SingularDiagonal(path)
-        counter.div_count += 1
-        return BlockMatrix.leaf(inv)
+        return _invert_leaf(body, counter, path, SingularDiagonal)
     diag1, diag2, off = tm._split()
     inv1 = TriangularMatrix(_tri_invert(diag1, counter, path + ("A",)), tm.orientation, tm.unit_diagonal)
     inv2 = TriangularMatrix(_tri_invert(diag2, counter, path + ("D",)), tm.orientation, tm.unit_diagonal)
@@ -330,22 +327,18 @@ def _join(first, second, swap):
     return bottom + first if swap else first + bottom
 
 
-def _node_name(path) -> str:
-    return "/".join(path) or "<root>"
-
-
 def _unfactorable(m, path):
     """The error for a node that could not be factored, from one invertibility test."""
     if is_invertible(m):
         return RandomnessExhausted(path)
-    return SingularMatrix(f"singular at node {_node_name(path)}")
+    return SingularMatrix(f"singular at node {node_name(path)}")
 
 
 def _lu_node(m, counter, pivot, path):
     if m.is_leaf:
         if m.scalar.is_zero():
             if pivot:
-                raise SingularMatrix(f"zero pivot at node {_node_name(path)}")
+                raise SingularMatrix(f"zero pivot at node {node_name(path)}")
             raise PivotBlockSingular(path)
         return _leaf_result(m.scalar)
     if pivot:

@@ -16,6 +16,11 @@ overload the usual operators and additionally provide ``star()`` (a ring
 involution, the identity where no natural conjugation exists) and
 ``try_invert()`` (returns the multiplicative inverse or ``None``).
 
+QQ_I and QUAT are two instances of one algebra over QQ: their elements
+hold a tuple of rational parts, and a sign table on the element type is
+the only definition of their product.  The element product, the row
+kernel and the ring's ``commutative`` flag all read that table.
+
 QQ and GF(p), the coefficient fields of K(t), share one set of polynomial
 kernels on raw coefficient lists (Fractions over QQ, residues in [0, p)
 over GF(p)); the only per-field step, ``_reduce``, brings each result list
@@ -27,8 +32,8 @@ Each ring handle also owns the row kernels of matrix code, ``dot_rows``
 (dot products, with an optional sign and addend folded into each entry)
 and ``pivot_product`` (forward elimination).  ``dot_rows``
 runs on integers over common denominators for QQ, QQ_I and QUAT (the
-latter two through one kernel read from each algebra's structure table),
-on raw residues for GF(p), on packed ints for the lift fields of
+latter two through one kernel signed by the sign table), on raw residues
+for GF(p), on packed ints for the lift fields of
 :mod:`blocklin.cyclotomic`, and on scalar objects only for K(t).
 ``pivot_product`` runs on integers for QQ, on residues for
 GF(p), and on scalar objects elsewhere.
@@ -124,40 +129,6 @@ def _plus_fraction(num, den, z):
     """num / den + z as one Fraction: the addend joins the integer sum."""
     q = z.denominator
     return Fraction(num * q + z.numerator * den, den * q)
-
-
-def _component_dot_rows(rows, cols, parts, signs, make, addend=None, sign=1):
-    """``dot_rows`` of an algebra over QQ with basis e_0 = 1, e_1, ... in
-    which e_p * e_q = signs[p][q] * e_(p xor q), left factor first.
-
-    ``parts`` read a scalar's rational components and ``make`` builds one
-    from them.  All components of a row (a column) come over one common
-    denominator d (e), laid end to end.  Output component c of an entry is
-    then one integer dot product of the column with the row's blocks
-    e_(c xor q), signed by the table times ``sign``, for q = 0, 1, ..., and
-    one Fraction over d * e, into which the addend's component c is folded.
-    """
-    k = len(parts)
-    right = [_over_common_denominator([part(s) for part in parts for s in col]) for col in cols]
-    out = []
-    for i, row in enumerate(rows):
-        ints, d = _over_common_denominator([part(s) for part in parts for s in row])
-        n = len(row)
-        blocks = [ints[p * n : (p + 1) * n] for p in range(k)]
-        negated = [[-x for x in block] for block in blocks]
-        left = [
-            [x for q in range(k) for x in (blocks if signs[c ^ q][q] * sign > 0 else negated)[c ^ q]]
-            for c in range(k)
-        ]
-        if addend is None:
-            out_row = [make(*[Fraction(sum(map(operator.mul, a, b)), d * e) for a in left]) for b, e in right]
-        else:
-            out_row = [
-                make(*[_plus_fraction(sum(map(operator.mul, a, b)), d * e, part(z)) for a, part in zip(left, parts)])
-                for (b, e), z in zip(right, addend[i])
-            ]
-        out.append(out_row)
-    return out
 
 
 class RingElement:
@@ -301,71 +272,104 @@ class PrimeFieldElement(RingElement):
         return f"PrimeFieldElement({self.residue}, {self.modulus})"
 
 
-class GaussianRational(RingElement):
-    """a + b*i with rational a, b; ``star`` is complex conjugation."""
+class _AlgebraElement(RingElement):
+    """x_0 + x_1*e_1 + x_2*e_2 + ... with rational parts x_p, in an algebra
+    over QQ whose basis e_0 = 1, e_1, ... multiplies by the class's sign
+    table: e_p * e_q = signs[p][q] * e_(p xor q), left factor first.
 
-    __slots__ = ("re", "im")
+    The table is the only definition of the product: the element product,
+    the ring handle's row kernel and its ``commutative`` flag all read it.
+    Every e_p with p > 0 squares to -1 and anticommutes with the others, so
+    ``star``, which negates every part but x_0, is an anti-involution and
+    star(x) * x is the central rational ``norm()``, the sum of the squared
+    parts.  Construction pads missing trailing parts with zeros.
+    """
 
-    def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+    __slots__ = ("parts",)
 
-    @property
-    def ring(self):
-        return QQ_I
+    def __init__(self, *parts):
+        k = len(self.signs)
+        if len(parts) > k:
+            raise TypeError(f"{type(self).__name__} takes at most {k} parts")
+        self.parts = tuple(map(_as_fraction, parts)) + (Fraction(0),) * (k - len(parts))
+
+    @classmethod
+    def _of(cls, parts):
+        """The element of a full tuple of Fractions, taken as it is."""
+        x = object.__new__(cls)
+        x.parts = parts
+        return x
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not any(self.parts)
 
     def star(self):
-        return GaussianRational(self.re, -self.im)
+        head, *tail = self.parts
+        return self._of((head, *(-v for v in tail)))
 
     def norm(self) -> Fraction:
-        """star(x) * x as a rational: a^2 + b^2, a sum of squares."""
-        return self.re * self.re + self.im * self.im
+        """star(x) * x as a rational: the sum of the squared parts."""
+        return sum(v * v for v in self.parts)
 
     def try_invert(self):
         if self.is_zero():
             return None
         n = self.norm()
-        return GaussianRational(self.re / n, -self.im / n)
+        return self._of(tuple(v / n for v in self.star().parts))
 
     def __add__(self, other):
-        if not isinstance(other, GaussianRational):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return self._of(tuple(map(operator.add, self.parts, other.parts)))
 
     def __sub__(self, other):
-        if not isinstance(other, GaussianRational):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self._of(tuple(map(operator.sub, self.parts, other.parts)))
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return self._of(tuple(-v for v in self.parts))
 
     def __mul__(self, other):
-        if not isinstance(other, GaussianRational):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        # part c of the product gathers x_p * y_q over p xor q = c; e_0 = 1
+        # gives x_0 * y_c its sign +1, and each other term is added or
+        # subtracted by the table, never multiplied by its sign
+        x, y, signs = self.parts, other.parts, self.signs
+        k = len(signs)
+        out = []
+        for c in range(k):
+            acc = x[0] * y[c]
+            for p in range(1, k):
+                q = c ^ p
+                if signs[p][q] > 0:
+                    acc += x[p] * y[q]
+                else:
+                    acc -= x[p] * y[q]
+            out.append(acc)
+        return self._of(tuple(out))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GaussianRational)
-            and self.re == other.re
-            and self.im == other.im
-        )
+        return other.__class__ is self.__class__ and self.parts == other.parts
 
     def __hash__(self):
-        return hash(("GaussianRational", self.re, self.im))
+        return hash((type(self).__name__, *self.parts))
 
     def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
+        return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
 
 
-class Quaternion(RingElement):
+class GaussianRational(_AlgebraElement):
+    """a + b*i with rational a, b; ``star`` is complex conjugation."""
+
+    __slots__ = ()
+    signs = ((1, 1), (1, -1))
+    re = property(lambda self: self.parts[0])
+    im = property(lambda self: self.parts[1])
+
+
+class Quaternion(_AlgebraElement):
     """a + b*i + c*j + d*k over the rationals.
 
     Multiplication is associative but not commutative (i*j = k, j*i = -k);
@@ -373,69 +377,13 @@ class Quaternion(RingElement):
     vector part, and star(q)*q is the central rational a^2+b^2+c^2+d^2.
     """
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = _as_fraction(a)
-        self.b = _as_fraction(b)
-        self.c = _as_fraction(c)
-        self.d = _as_fraction(d)
-
-    @property
-    def ring(self):
-        return QUAT
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    def star(self):
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
-    def try_invert(self):
-        if self.is_zero():
-            return None
-        n = self.norm()
-        return Quaternion(self.a / n, -self.b / n, -self.c / n, -self.d / n)
-
-    def __add__(self, other):
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return Quaternion(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return Quaternion(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other):
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Quaternion)
-            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        )
-
-    def __hash__(self):
-        return hash(("Quaternion", self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"Quaternion({self.a}, {self.b}, {self.c}, {self.d})"
+    __slots__ = ()
+    # bases 1, i, j, k as e_0 .. e_3: i*i = j*j = k*k = -1, i*j = k = -j*i, cyclically
+    signs = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
+    a = property(lambda self: self.parts[0])
+    b = property(lambda self: self.parts[1])
+    c = property(lambda self: self.parts[2])
+    d = property(lambda self: self.parts[3])
 
 
 class RationalFunction(RingElement):
@@ -1022,69 +970,71 @@ def GF(p: int) -> _PrimeField:
     return _PrimeField(p)
 
 
-# _component_dot_rows signs in the bases 1, i of QQ_I and 1, i, j, k of
-# QUAT, where i*i = j*j = k*k = -1 and i*j = k = -j*i, cyclically
-_GAUSSIAN_PARTS = (operator.attrgetter("re"), operator.attrgetter("im"))
-_GAUSSIAN_SIGNS = ((1, 1), (1, -1))
-_QUATERNION_PARTS = tuple(operator.attrgetter(name) for name in "abcd")
-_HAMILTON_SIGNS = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
+class _QQAlgebra(_Ring):
+    """Handle of QQ_I or QUAT: an algebra over QQ whose ``element`` type
+    carries the sign table.  ``units`` are the letters of e_1, e_2, ... in
+    the token syntax, and sampled parts lie in [-bound, bound]."""
 
-
-class _GaussianRationalField(_Ring):
-    spec = "qi"
-
-    def zero(self):
-        return GaussianRational()
-
-    def one(self):
-        return GaussianRational(1)
-
-    def from_int(self, n):
-        return GaussianRational(n)
-
-    def parse(self, token):
-        return GaussianRational(*_parse_units(token, "i"))
-
-    def format(self, x):
-        return _format_units((x.re, x.im), "i")
-
-    def random_element(self, rng):
-        return GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
-
-    def dot_rows(self, rows, cols, addend=None, sign=1):
-        return _component_dot_rows(rows, cols, _GAUSSIAN_PARTS, _GAUSSIAN_SIGNS, GaussianRational, addend, sign)
-
-
-QQ_I = _GaussianRationalField()
-
-
-class _QuaternionRing(_Ring):
-    spec = "quat"
-    commutative = False
+    def __init__(self, spec, element, units, bound):
+        self.spec, self.element, self.units, self.bound = spec, element, units, bound
+        signs = element.signs
+        self.commutative = all(signs[p][q] == signs[q][p] for p in range(len(signs)) for q in range(p))
+        element.ring = self
 
     def zero(self):
-        return Quaternion()
+        return self.element()
 
     def one(self):
-        return Quaternion(1)
+        return self.element(1)
 
     def from_int(self, n):
-        return Quaternion(n)
+        return self.element(n)
 
     def parse(self, token):
-        return Quaternion(*_parse_units(token, "ijk"))
+        return self.element(*_parse_units(token, self.units))
 
     def format(self, x):
-        return _format_units((x.a, x.b, x.c, x.d), "ijk")
+        return _format_units(x.parts, self.units)
 
     def random_element(self, rng):
-        return Quaternion(*(rng.randint(-5, 5) for _ in range(4)))
+        return self.element(*(rng.randint(-self.bound, self.bound) for _ in range(len(self.element.signs))))
 
     def dot_rows(self, rows, cols, addend=None, sign=1):
-        return _component_dot_rows(rows, cols, _QUATERNION_PARTS, _HAMILTON_SIGNS, Quaternion, addend, sign)
+        # All parts of a row (a column) come over one common denominator d
+        # (e), laid end to end, part by part.  Part c of an entry is then one
+        # integer dot product of the column with the row's blocks e_(c xor
+        # q), signed by the table times ``sign``, for q = 0, 1, ..., and one
+        # Fraction over d * e, into which the addend's part c is folded.
+        signs, make = self.element.signs, self.element._of
+        k = len(signs)
+
+        def flat(vector):
+            return _over_common_denominator([v for part in zip(*(x.parts for x in vector)) for v in part])
+
+        right = [flat(col) for col in cols]
+        out = []
+        for i, row in enumerate(rows):
+            ints, d = flat(row)
+            n = len(row)
+            blocks = [ints[p * n : (p + 1) * n] for p in range(k)]
+            negated = [[-x for x in block] for block in blocks]
+            left = [
+                [x for q in range(k) for x in (blocks if signs[c ^ q][q] * sign > 0 else negated)[c ^ q]]
+                for c in range(k)
+            ]
+            if addend is None:
+                out_row = [make(tuple(Fraction(sum(map(operator.mul, a, b)), d * e) for a in left)) for b, e in right]
+            else:
+                out_row = [
+                    make(tuple(_plus_fraction(sum(map(operator.mul, a, b)), d * e, z) for a, z in zip(left, zs.parts)))
+                    for (b, e), zs in zip(right, addend[i])
+                ]
+            out.append(out_row)
+        return out
 
 
-QUAT = _QuaternionRing()
+QQ_I = _QQAlgebra("qi", GaussianRational, "i", 9)
+QUAT = _QQAlgebra("quat", Quaternion, "ijk", 5)
 
 
 class _RationalFunctionField(_Ring):

@@ -4,16 +4,18 @@
 and the functions held in ``cli._METHODS`` tuples.  A refactor that renames
 one of them, or stores a method in another shape, silently stops the
 benchmark from seeing it, so the hooks are checked here.  So are the parts
-of an LU result the benchmark's checker reads, and the error class names it
-matches as strings.
+of an LU result the benchmark's checker reads, the error class names it
+matches as strings, and the scalar constructors and attributes through
+which it turns raw rows into matrices and back.
 """
 
 import importlib
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
-from blocklin import QQ, BlockMatrix, cli, errors, lu
+from blocklin import QQ, BlockMatrix, cli, errors, lu, ring_from_spec
 
 from conftest import ring_mat
 
@@ -57,3 +59,26 @@ def test_lu_result_parts_read_by_the_checker():
 def test_error_names_matched_as_strings_exist():
     for name in ("RandomnessExhausted", "AllBlocksSingular"):
         assert issubclass(getattr(errors, name), errors.BlocklinError)
+
+
+def test_runner_round_trips_the_scalars_of_each_ring(monkeypatch):
+    """``Runner.to_block``/``to_rows`` build ``Rational(x)``,
+    ``PrimeFieldElement(x, p)``, ``GaussianRational(*parts)`` and
+    ``Quaternion(*parts)``, and read ``.value``, ``.residue``, ``.re``/``.im``
+    and ``.a``-``.d`` back."""
+    # workloads imports its sibling modules by name, so it is imported from
+    # its own directory
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    runner = workloads.Runner(workloads.WORKLOADS["invert-char0"], None)
+    half = Fraction(1, 2)
+    cases = {
+        "q": [[half, 0], [-3, Fraction(5, 7)]],
+        "gf:7": [[1, 6], [0, 3]],
+        "qi": [[(half, -1), (0, 0)], [(2, 0), (0, Fraction(-1, 3))]],
+        "quat": [[(1, 2, 3, 4), (0, 0, 0, 0)], [(half, 0, -1, 0), (0, 0, 0, Fraction(7, 3))]],
+    }
+    for spec, rows in cases.items():
+        block = runner.to_block(spec, rows)
+        assert block.ring is ring_from_spec(spec)
+        assert runner.to_rows(spec, block) == rows, spec

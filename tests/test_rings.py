@@ -88,12 +88,27 @@ def test_star_examples():
     assert x.star() == x
 
 
-def test_quaternion_noncommutativity_witness():
-    i = Quaternion(0, 1, 0, 0)
-    j = Quaternion(0, 0, 1, 0)
-    k = Quaternion(0, 0, 0, 1)
-    assert i * j == k
-    assert j * i == -k
+def test_unit_products_match_the_written_out_tables():
+    """Every product of two basis units, written out as literals, through
+    the element product and the ring's row kernel.  The sign table defines
+    both and ``commutative`` too, so only literals catch a wrong sign."""
+    q = Quaternion
+    one, i, j, k = q(1), q(0, 1), q(0, 0, 1), q(0, 0, 0, 1)
+    quaternion_table = [
+        [one, i, j, k],
+        [i, q(-1), k, q(0, 0, -1)],
+        [j, q(0, 0, 0, -1), q(-1), i],
+        [k, j, q(0, -1), q(-1)],
+    ]
+    g = GaussianRational
+    gaussian_table = [[g(1), g(0, 1)], [g(0, 1), g(-1)]]
+    for ring, units, table in ((QUAT, [one, i, j, k], quaternion_table), (QQ_I, [g(1), g(0, 1)], gaussian_table)):
+        for x, row in zip(units, table):
+            for y, want in zip(units, row):
+                assert x * y == want, (x, y)
+                assert ring.dot_rows([[x]], [[y]]) == [[want]], (x, y)
+    assert QQ_I.commutative
+    assert not QUAT.commutative
 
 
 # -- randomized algebraic identities ----------------------------------------
