@@ -24,7 +24,8 @@ The self-adjoint inversion core (:func:`hermitian_invert`) exploits the
 Gram symmetry of its input: per node it spends exactly four half-size
 multiplications plus two recursive half-size inversions, reconstructing
 the mirrored blocks by transposition, involution, or t-power scaling at
-zero multiplication cost.
+zero multiplication cost.  Its node is the Schur node, with those two
+products replaced by mirrors.
 """
 
 from __future__ import annotations

@@ -304,18 +304,21 @@ class _AlgebraElement(RingElement):
         return not any(self.parts)
 
     def star(self):
-        head, *tail = self.parts
-        return self._of((head, *(-v for v in tail)))
+        x = self.parts
+        return self._of((x[0], *map(operator.neg, x[1:])))
 
     def norm(self) -> Fraction:
         """star(x) * x as a rational: the sum of the squared parts."""
-        return sum(v * v for v in self.parts)
+        # started at a Fraction, not at the int 0, so every addition is
+        # Fraction + Fraction
+        x = self.parts
+        return sum(map(operator.mul, x[1:], x[1:]), x[0] * x[0])
 
     def try_invert(self):
         if self.is_zero():
             return None
         n = self.norm()
-        return self._of(tuple(v / n for v in self.star().parts))
+        return self._of(tuple([v / n for v in self.star().parts]))
 
     def __add__(self, other):
         if other.__class__ is not self.__class__:
@@ -328,7 +331,7 @@ class _AlgebraElement(RingElement):
         return self._of(tuple(map(operator.sub, self.parts, other.parts)))
 
     def __neg__(self):
-        return self._of(tuple(-v for v in self.parts))
+        return self._of(tuple(map(operator.neg, self.parts)))
 
     def __mul__(self, other):
         if other.__class__ is not self.__class__:
@@ -972,8 +975,9 @@ def GF(p: int) -> _PrimeField:
 
 class _QQAlgebra(_Ring):
     """Handle of QQ_I or QUAT: an algebra over QQ whose ``element`` type
-    carries the sign table.  ``units`` are the letters of e_1, e_2, ... in
-    the token syntax, and sampled parts lie in [-bound, bound]."""
+    carries the sign table, and whose ``ring`` the handle becomes.
+    ``units`` are the letters of e_1, e_2, ... in the token syntax, and
+    sampled parts lie in [-bound, bound]."""
 
     def __init__(self, spec, element, units, bound):
         self.spec, self.element, self.units, self.bound = spec, element, units, bound
@@ -1009,7 +1013,7 @@ class _QQAlgebra(_Ring):
         k = len(signs)
 
         def flat(vector):
-            return _over_common_denominator([v for part in zip(*(x.parts for x in vector)) for v in part])
+            return _over_common_denominator([x.parts[p] for p in range(k) for x in vector])
 
         right = [flat(col) for col in cols]
         out = []
@@ -1023,10 +1027,10 @@ class _QQAlgebra(_Ring):
                 for c in range(k)
             ]
             if addend is None:
-                out_row = [make(tuple(Fraction(sum(map(operator.mul, a, b)), d * e) for a in left)) for b, e in right]
+                out_row = [make(tuple([Fraction(sum(map(operator.mul, a, b)), d * e) for a in left])) for b, e in right]
             else:
                 out_row = [
-                    make(tuple(_plus_fraction(sum(map(operator.mul, a, b)), d * e, z) for a, z in zip(left, zs.parts)))
+                    make(tuple([_plus_fraction(sum(map(operator.mul, a, b)), d * e, z) for a, z in zip(left, zs.parts)]))
                     for (b, e), zs in zip(right, addend[i])
                 ]
             out.append(out_row)
