@@ -104,14 +104,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
 def _over_common_denominator(values):
     """Integers a and d > 0 with a[k] / d the Fraction ``values[k]``."""
     d = lcm(*[v.denominator for v in values])
@@ -287,11 +279,18 @@ class _AlgebraElement(RingElement):
 
     __slots__ = ("parts",)
 
+    def __init_subclass__(cls):
+        # the table read once per class: for each part c of a product, the
+        # terms (p, q, added or subtracted) with p xor q = c and p > 0
+        signs = cls.signs
+        k = len(signs)
+        cls._terms = tuple(tuple((p, c ^ p, signs[p][c ^ p] > 0) for p in range(1, k)) for c in range(k))
+
     def __init__(self, *parts):
         k = len(self.signs)
-        if len(parts) > k:
-            raise TypeError(f"{type(self).__name__} takes at most {k} parts")
-        self.parts = tuple(map(_as_fraction, parts)) + (Fraction(0),) * (k - len(parts))
+        if len(parts) > k or not all(isinstance(v, (int, Fraction)) for v in parts):
+            raise TypeError(f"{type(self).__name__} takes at most {k} int or Fraction parts")
+        self.parts = tuple(map(Fraction, parts)) + (Fraction(0),) * (k - len(parts))
 
     @classmethod
     def _of(cls, parts):
@@ -317,8 +316,10 @@ class _AlgebraElement(RingElement):
     def try_invert(self):
         if self.is_zero():
             return None
+        # star(x) / norm(x), without building star(x)
         n = self.norm()
-        return self._of(tuple([v / n for v in self.star().parts]))
+        x = self.parts
+        return self._of((x[0] / n, *[-v / n for v in x[1:]]))
 
     def __add__(self, other):
         if other.__class__ is not self.__class__:
@@ -339,14 +340,12 @@ class _AlgebraElement(RingElement):
         # part c of the product gathers x_p * y_q over p xor q = c; e_0 = 1
         # gives x_0 * y_c its sign +1, and each other term is added or
         # subtracted by the table, never multiplied by its sign
-        x, y, signs = self.parts, other.parts, self.signs
-        k = len(signs)
+        x, y = self.parts, other.parts
         out = []
-        for c in range(k):
+        for c, terms in enumerate(self._terms):
             acc = x[0] * y[c]
-            for p in range(1, k):
-                q = c ^ p
-                if signs[p][q] > 0:
+            for p, q, plus in terms:
+                if plus:
                     acc += x[p] * y[q]
                 else:
                     acc -= x[p] * y[q]
