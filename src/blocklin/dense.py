@@ -3,13 +3,13 @@
 Dense matrices exist for file round trips and for row-based work outside
 the block algorithms, which never use them internally: the products of the
 CLI's ``check`` (:func:`dense_mul`), the invertibility decision and
-determinants.  Products and eliminations run
-on the ring's own row kernels, ``ring.dot_rows`` and
-``ring.pivot_product``: integers over a common denominator over QQ (and,
-for products, over QQ_I and QUAT), raw residues over GF(p), scalar
-objects elsewhere.  ``blockmat.mul`` runs on
-the same ``dot_rows``, so the tests hold both to a schoolbook product of
-their own and to sympy.
+determinants.  Products and eliminations run on the ring's own row
+kernels, ``ring.dot_rows`` and ``ring.pivot_product``.  A product packs
+both operands (``ring.pack``: over QQ, an integer matrix over one
+denominator; elsewhere the elements over 1), takes the packed product over
+the product of the denominators, and unpacks it: the same kernel on the
+same packed rows as ``blockmat.mul``, so the tests hold both to a
+schoolbook product of their own and to sympy.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ def dense_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
         raise ValueError("dimension mismatch")
     if a.ring is not b.ring:
         raise TypeError(f"cannot multiply matrices over {a.ring!r} and {b.ring!r}")
-    return DenseMatrix(a.n, a.ring.dot_rows(a.rows, zip(*b.rows)), a.ring)
+    ring = a.ring
+    left, left_den = ring.pack(a.rows)
+    right, right_den = ring.pack(b.rows)
+    return DenseMatrix(a.n, ring.unpack(ring.dot_rows(left, zip(*right)), left_den * right_den), ring)
 
 
 def dense_determinant(m: DenseMatrix):

@@ -97,11 +97,11 @@ def schur_invert(m: BlockMatrix, counter: OpCounter | None = None) -> BlockMatri
 
 def _invert_leaf(leaf, counter, path, error):
     """Invert a 1x1 block, tallied as one division; raises ``error(path)`` on zero."""
-    inv = leaf.scalar.try_invert()
+    inv = bm.invert_leaf(leaf)
     if inv is None:
         raise error(path)
     counter.div_count += 1
-    return BlockMatrix.leaf(inv)
+    return inv
 
 
 def _zero_pivot(path):

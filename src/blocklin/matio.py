@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .dense import DenseMatrix
 from .errors import MatrixFormatError, ZeroDenominator
-from .rings import ring_from_spec
+from .rings import parse_natural, ring_from_spec
 
 __all__ = [
     "format_matrix",
@@ -59,10 +59,9 @@ def parse_matrix(text: str) -> DenseMatrix:
         ring = ring_from_spec(lines[0][5:].strip())
     except ValueError as exc:
         raise MatrixFormatError(str(exc)) from None
-    try:
-        n = int(lines[1][5:].strip())
-    except ValueError:
-        raise MatrixFormatError(f"malformed size line {lines[1]!r}") from None
+    n = parse_natural(lines[1][5:].strip())
+    if n is None:
+        raise MatrixFormatError(f"malformed size line {lines[1]!r}")
     if n < 1:
         raise MatrixFormatError("size must be at least 1")
     if len(lines) != 2 + n:
@@ -91,10 +90,10 @@ def parse_permutations(text: str) -> tuple[list[int], list[int]]:
         parts = line.split()
         if parts[0] not in ("perm-rows", "perm-cols") or parts[0] in vectors:
             raise MatrixFormatError(f"unexpected permutation line {line!r}")
-        try:
-            vec = [int(p) - 1 for p in parts[1:]]
-        except ValueError:
-            raise MatrixFormatError(f"malformed permutation line {line!r}") from None
+        entries = [parse_natural(p) for p in parts[1:]]
+        if None in entries:
+            raise MatrixFormatError(f"malformed permutation line {line!r}")
+        vec = [v - 1 for v in entries]
         n = len(vec)
         if sorted(vec) != list(range(n)):
             raise MatrixFormatError(f"{parts[0]} is not a permutation of 1..{n}")

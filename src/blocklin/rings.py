@@ -28,15 +28,23 @@ to canonical form once.  A rational function stores its numerator and
 denominator as tuples of these raw coefficients and computes only through
 the kernels.
 
-Each ring handle also owns the row kernels of matrix code, ``dot_rows``
-(dot products, with an optional sign and addend folded into each entry)
-and ``pivot_product`` (forward elimination).  ``dot_rows``
-runs on integers over common denominators for QQ, QQ_I and QUAT (the
-latter two through one kernel signed by the sign table), on raw residues
-for GF(p), on packed ints for the lift fields of
+Each ring handle also owns the packed form of matrix rows and the row
+kernels of matrix code.  ``pack`` turns rows of elements into (rows, den),
+``unpack`` turns them back: over QQ, integer rows over one positive
+denominator for the whole matrix; over every other ring, the elements as
+they are over 1.  ``dot_rows`` (dot products, with an optional sign and
+addend folded into each entry) runs on packed rows: over QQ it takes
+integer rows and returns integer rows, with an integer sign, and leaves
+every denominator to its caller (:mod:`blocklin.blockmat`,
+:func:`~blocklin.dense.dense_mul`).  It runs on integers over common
+denominators for QQ_I and QUAT (one kernel signed by the sign table), on
+raw residues for GF(p), on packed ints for the lift fields of
 :mod:`blocklin.cyclotomic`, and on scalar objects only for K(t).
-``pivot_product`` runs on integers for QQ, on residues for
-GF(p), and on scalar objects elsewhere.
+``pivot_product`` (forward elimination) runs on integers for QQ, on
+residues for GF(p), and on scalar objects elsewhere.
+
+Integers in tokens and specs are ASCII digits 0-9 only
+(:func:`parse_natural`).
 
 One more ring, with no file syntax and no spec, lives in
 :mod:`blocklin.cyclotomic`: the finite field GF(p)[t]/Phi_l in which the
@@ -71,6 +79,7 @@ __all__ = [
     "RatFun",
     "ring_from_spec",
     "is_prime",
+    "parse_natural",
 ]
 
 
@@ -212,6 +221,14 @@ class PrimeFieldElement(RingElement):
         GF(modulus)  # validates primality once per modulus
         self.residue = residue % modulus
         self.modulus = modulus
+
+    @classmethod
+    def _of(cls, residue, modulus):
+        """The element of a residue already in [0, modulus), taken as it is."""
+        x = object.__new__(cls)
+        x.residue = residue
+        x.modulus = modulus
+        return x
 
     @property
     def ring(self):
@@ -532,7 +549,6 @@ def ratfun_reduce(num, den, field) -> RationalFunction:
 
 
 _TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
-_RATIONAL_TOKEN = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 # Largest t exponent a polynomial token may carry, as the parser allocates
 # one coefficient per power: far above the degree 2 * 256 that the inverse
@@ -547,18 +563,32 @@ def _split_terms(token: str):
     return terms
 
 
+def parse_natural(text: str) -> int | None:
+    """The int of ``text`` if it is one or more ASCII digits 0-9, else None.
+
+    The one reader of unsigned integers in tokens, ring specs and matrix
+    files: ``int()`` alone also takes other Unicode digits, signs,
+    whitespace and underscores, none of which the format has.
+    """
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
+def _parse_signed(text: str) -> int | None:
+    """The int of an optional sign followed by ASCII digits, else None."""
+    value = parse_natural(text[1:] if text[:1] in ("+", "-") else text)
+    return -value if value is not None and text[0] == "-" else value
+
+
 def _parse_rational(text: str, what: str = "token") -> Fraction:
-    """The rational ``a`` or ``a/b`` of ``text``, matched once."""
-    match = _RATIONAL_TOKEN.match(text)
-    if not match:
+    """The rational ``a`` or ``a/b`` of ``text``."""
+    num, slash, den = text.partition("/")
+    num = _parse_signed(num)
+    den = parse_natural(den) if slash else 1
+    if num is None or den is None:
         raise ValueError(f"malformed rational {what} {text!r}")
-    num, den = match.groups()
-    if den is None:
-        return Fraction(int(num))
-    try:
-        return Fraction(int(num), int(den))
-    except ZeroDivisionError:
-        raise ZeroDenominator(f"zero denominator in {text!r}") from None
+    if not den:
+        raise ZeroDenominator(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def _parse_coefficient(text: str) -> Fraction:
@@ -625,15 +655,35 @@ class _Ring:
     def random_element(self, rng):
         raise NotImplementedError
 
-    def dot_rows(self, rows, cols, addend=None, sign=1):
-        """Row lists: entry (i, j) is sign * (rows[i] . cols[j]) + addend[i][j].
+    # whether ``star`` is the identity on every element
+    trivial_star = True
 
-        ``sign`` is 1 or -1, and ``addend``, when given, holds the rows of a
-        matrix of the output's shape; every kernel folds both into the one
-        value it builds per entry, so no second pass follows the product.
-        This scalar-object kernel serves K(t) only; QQ, GF(p), QQ_I, QUAT
-        and the lift fields override it with kernels on integers, residues
-        or packed ints.
+    def pack(self, rows):
+        """Rows of elements in the packed form of the row kernels, as
+        (rows, den): a tuple of row tuples over a positive integer den.
+        Here the elements as they are over 1; QQ overrides it."""
+        return tuple(map(tuple, rows)), 1
+
+    def unpack(self, rows, den):
+        """Rows of elements of packed ``rows`` over ``den``; here the rows
+        themselves."""
+        return rows
+
+    def invert_packed(self, value, den):
+        """The packed (value, den) of the inverse of the packed ``value`` over
+        ``den``, or None when it is zero."""
+        inverse = value.try_invert()
+        return None if inverse is None else (inverse, 1)
+
+    def dot_rows(self, rows, cols, addend=None, sign=1):
+        """Packed row lists: entry (i, j) is sign * (rows[i] . cols[j]) + addend[i][j].
+
+        ``sign`` is 1 or -1 (over QQ, any integer), and ``addend``, when
+        given, holds the packed rows of a matrix of the output's shape;
+        every kernel folds both into the one value it builds per entry, so
+        no second pass follows the product.  This scalar-object kernel
+        serves K(t) only; QQ, GF(p), QQ_I, QUAT and the lift fields
+        override it with kernels on integers, residues or packed ints.
         Products are taken left times right and summed in adjacent pairs,
         level by level, an odd last term carried up unchanged: at
         power-of-two lengths the order of the block recursion, whose
@@ -784,23 +834,29 @@ class _RationalField(_CoefficientField):
     def random_element(self, rng):
         return Rational(rng.randint(-9, 9))
 
+    def pack(self, rows):
+        # integers over the lcm of all denominators; the entries are
+        # reduced Fractions, so no prime of that lcm divides them all
+        values = [[x.value for x in row] for row in rows]
+        den = lcm(*[v.denominator for row in values for v in row])
+        return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in values), den
+
+    def unpack(self, rows, den):
+        return [[Rational(Fraction(v, den)) for v in row] for row in rows]
+
+    def invert_packed(self, value, den):
+        if not value:
+            return None
+        return (den, value) if value > 0 else (-den, -value)
+
     def dot_rows(self, rows, cols, addend=None, sign=1):
-        # delayed reduction: integer dot products, one Fraction gcd per
-        # entry, into which the sign and the addend are folded
-        left = [_over_common_denominator([s.value for s in row]) for row in rows]
-        right = [_over_common_denominator([s.value for s in col]) for col in cols]
+        # integer rows in, integer rows out: the sign is any integer, and
+        # the caller keeps every denominator
+        cols = list(cols)
+        mul = operator.mul
         if addend is None:
-            return [
-                [Rational(Fraction(sign * sum(map(operator.mul, a, b)), d * e)) for b, e in right]
-                for a, d in left
-            ]
-        return [
-            [
-                Rational(_plus_fraction(sign * sum(map(operator.mul, a, b)), d * e, z.value))
-                for (b, e), z in zip(right, z_row)
-            ]
-            for (a, d), z_row in zip(left, addend)
-        ]
+            return [[sign * sum(map(mul, a, b)) for b in cols] for a in rows]
+        return [[sign * sum(map(mul, a, b)) + z for b, z in zip(cols, z_row)] for a, z_row in zip(rows, addend)]
 
     def pivot_product(self, rows):
         # fraction-free (Bareiss) elimination on integer rows, row i scaled by
@@ -886,9 +942,10 @@ class _PrimeField(_CoefficientField):
         return PrimeFieldElement(n, self.p)
 
     def parse(self, token):
-        if not token.isdigit():
+        value = parse_natural(token)
+        if value is None:
             raise ValueError(f"malformed prime field token {token!r}")
-        return PrimeFieldElement(int(token), self.p)
+        return PrimeFieldElement(value, self.p)
 
     def format(self, x):
         return str(x.residue)
@@ -898,14 +955,14 @@ class _PrimeField(_CoefficientField):
 
     def dot_rows(self, rows, cols, addend=None, sign=1):
         # residue dot products, one reduction per entry, into which the sign
-        # and the addend are folded
-        p = self.p
+        # and the addend are folded; the reduced residues need no check
+        p, make = self.p, PrimeFieldElement._of
         left = [[s.residue for s in row] for row in rows]
         right = [[s.residue for s in col] for col in cols]
         if addend is None:
-            return [[PrimeFieldElement(sign * sum(map(operator.mul, a, b)) % p, p) for b in right] for a in left]
+            return [[make(sign * sum(map(operator.mul, a, b)) % p, p) for b in right] for a in left]
         return [
-            [PrimeFieldElement((sign * sum(map(operator.mul, a, b)) + z.residue) % p, p) for b, z in zip(right, z_row)]
+            [make((sign * sum(map(operator.mul, a, b)) + z.residue) % p, p) for b, z in zip(right, z_row)]
             for a, z_row in zip(left, addend)
         ]
 
@@ -929,7 +986,7 @@ class _PrimeField(_CoefficientField):
                 factor = row[0] * pivot_inv % p
                 out.append([(x - factor * y) % p for x, y in zip(row[1:], rest)] if factor else row[1:])
             a = out
-        return PrimeFieldElement(det, p)
+        return PrimeFieldElement._of(det, p)
 
     def raw_mul(self, a, b):
         return a * b % self.p
@@ -941,13 +998,10 @@ class _PrimeField(_CoefficientField):
         return n % self.p
 
     def raw_parse(self, text):
-        sign, digits = 1, text
-        if digits[:1] in ("+", "-"):
-            sign = -1 if digits[0] == "-" else 1
-            digits = digits[1:]
-        if not digits.isdigit():
+        value = _parse_signed(text)
+        if value is None:
             raise ValueError(f"malformed prime field coefficient {text!r}")
-        return sign * int(digits) % self.p
+        return value % self.p
 
     def wrap(self, raw):
         return PrimeFieldElement(raw, self.p)
@@ -977,6 +1031,8 @@ class _QQAlgebra(_Ring):
     carries the sign table, and whose ``ring`` the handle becomes.
     ``units`` are the letters of e_1, e_2, ... in the token syntax, and
     sampled parts lie in [-bound, bound]."""
+
+    trivial_star = False
 
     def __init__(self, spec, element, units, bound):
         self.spec, self.element, self.units, self.bound = spec, element, units, bound
@@ -1095,11 +1151,8 @@ class _RationalFunctionField(_Ring):
             if t:
                 head = head.removesuffix("*")
                 coeff = base.raw_parse(head + "1" if head in ("", "+", "-") else head)
-                if tail == "":
-                    exp = 1
-                elif tail.startswith("^") and tail[1:].isdigit():
-                    exp = int(tail[1:])
-                else:
+                exp = 1 if tail == "" else parse_natural(tail[1:]) if tail.startswith("^") else None
+                if exp is None:
                     raise ValueError(f"malformed polynomial term {term!r}")
                 if exp > _MAX_T_EXPONENT:
                     raise ValueError(f"t exponent in {term!r} above {_MAX_T_EXPONENT}")
@@ -1158,7 +1211,10 @@ def ring_from_spec(spec: str) -> _Ring:
     if spec == "quat":
         return QUAT
     if spec.startswith("gf:"):
-        return GF(int(spec[3:]))
+        p = parse_natural(spec[3:])
+        if p is None:
+            raise ValueError(f"malformed prime field modulus in {spec!r}")
+        return GF(p)
     if spec.startswith("ratfun:"):
         base = spec[len("ratfun:") :]
         if base != "q" and not base.startswith("gf:"):
