@@ -398,6 +398,8 @@ def _mul_dense(x, y, counter, sign, addend):
     n = x.dimension
     counter.mul_count += n**3
     counter.add_count += n * n * (n - 1) + (0 if z is None else n * n)
+    if den == 1:
+        return BlockMatrix(tuple(map(tuple, out)), x.depth, ring)
     return _reduced(out, x.depth, ring, den)
 
 

@@ -5,14 +5,17 @@ the block algorithms, which never use them internally: the products of the
 CLI's ``check`` (:func:`dense_mul`), the invertibility decision and
 determinants.  Products and eliminations run on the ring's own row
 kernels, ``ring.dot_rows`` and ``ring.pivot_product``.  A product packs
-both operands (``ring.pack``: over QQ, an integer matrix over one
-denominator; elsewhere the elements over 1), takes the packed product over
-the product of the denominators, and unpacks it: the same kernel on the
-same packed rows as ``blockmat.mul``, so the tests hold both to a
-schoolbook product of their own and to sympy.
+each row of its left operand and each column of its right one
+(``ring.pack``: over QQ, integers over one denominator; elsewhere the
+elements over 1), takes the packed products, and unpacks each row over
+the product of the denominators: the same kernel as ``blockmat.mul``, so
+the tests hold both to a schoolbook product of their own and to sympy.
 """
 
 from __future__ import annotations
+
+import operator
+from math import lcm
 
 
 class DenseMatrix:
@@ -51,9 +54,19 @@ def dense_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.ring is not b.ring:
         raise TypeError(f"cannot multiply matrices over {a.ring!r} and {b.ring!r}")
     ring = a.ring
-    left, left_den = ring.pack(a.rows)
-    right, right_den = ring.pack(b.rows)
-    return DenseMatrix(a.n, ring.unpack(ring.dot_rows(left, zip(*right)), left_den * right_den), ring)
+    # each row of a and each column of b packed over its own denominator,
+    # which keeps the integers small when the denominators differ from row
+    # to row, as in the factors of an LU
+    left = [ring.pack((row,)) for row in a.rows]
+    right = [ring.pack((col,)) for col in zip(*b.rows)]
+    sums = ring.dot_rows([row for (row,), _ in left], [col for (col,), _ in right])
+    col_den = lcm(*[den for _, den in right])
+    if col_den > 1:
+        # entry (i, j) lies over d_i * e_j; column j scaled by col_den / e_j
+        # puts row i over d_i * col_den
+        scale = [col_den // den for _, den in right]
+        sums = [list(map(operator.mul, row, scale)) for row in sums]
+    return DenseMatrix(a.n, [ring.unpack((row,), den * col_den)[0] for row, (_, den) in zip(sums, left)], ring)
 
 
 def dense_determinant(m: DenseMatrix):

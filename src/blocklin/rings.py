@@ -43,8 +43,8 @@ raw residues for GF(p), on packed ints for the lift fields of
 ``pivot_product`` (forward elimination) runs on integers for QQ, on
 residues for GF(p), and on scalar objects elsewhere.
 
-Integers in tokens and specs are ASCII digits 0-9 only
-(:func:`parse_natural`).
+Integers in tokens, specs and matrix files are ASCII digits 0-9 only
+(``_DIGITS``, read by :func:`parse_natural` and the rational token).
 
 One more ring, with no file syntax and no spec, lives in
 :mod:`blocklin.cyclotomic`: the finite field GF(p)[t]/Phi_l in which the
@@ -171,6 +171,13 @@ class Rational(RingElement):
             self.value = Fraction(numerator, denominator)
         except ZeroDivisionError:
             raise ZeroDenominator("rational with denominator 0") from None
+
+    @classmethod
+    def _of(cls, value):
+        """The element of a Fraction, taken as it is."""
+        x = object.__new__(cls)
+        x.value = value
+        return x
 
     @property
     def ring(self):
@@ -549,6 +556,12 @@ def ratfun_reduce(num, den, field) -> RationalFunction:
 
 
 _TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
+# the one definition of an unsigned integer in the format: ASCII digits
+# only, where \d, str.isdigit and int() also take other Unicode digits,
+# and int() signs, spaces and underscores as well
+_DIGITS = "[0-9]+"
+_NATURAL = re.compile(_DIGITS + r"\Z")
+_RATIONAL_TOKEN = re.compile(f"([+-]?{_DIGITS})(?:/({_DIGITS}))?\\Z")
 
 # Largest t exponent a polynomial token may carry, as the parser allocates
 # one coefficient per power: far above the degree 2 * 256 that the inverse
@@ -564,13 +577,9 @@ def _split_terms(token: str):
 
 
 def parse_natural(text: str) -> int | None:
-    """The int of ``text`` if it is one or more ASCII digits 0-9, else None.
-
-    The one reader of unsigned integers in tokens, ring specs and matrix
-    files: ``int()`` alone also takes other Unicode digits, signs,
-    whitespace and underscores, none of which the format has.
-    """
-    return int(text) if text.isascii() and text.isdigit() else None
+    """The int of ``text`` if it is one or more ASCII digits 0-9, else None:
+    the reader of sizes, permutation entries, moduli and t exponents."""
+    return int(text) if _NATURAL.match(text) else None
 
 
 def _parse_signed(text: str) -> int | None:
@@ -580,15 +589,17 @@ def _parse_signed(text: str) -> int | None:
 
 
 def _parse_rational(text: str, what: str = "token") -> Fraction:
-    """The rational ``a`` or ``a/b`` of ``text``."""
-    num, slash, den = text.partition("/")
-    num = _parse_signed(num)
-    den = parse_natural(den) if slash else 1
-    if num is None or den is None:
+    """The rational ``a`` or ``a/b`` of ``text``, matched once."""
+    match = _RATIONAL_TOKEN.match(text)
+    if not match:
         raise ValueError(f"malformed rational {what} {text!r}")
-    if not den:
-        raise ZeroDenominator(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    try:
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"zero denominator in {text!r}") from None
 
 
 def _parse_coefficient(text: str) -> Fraction:
@@ -839,10 +850,15 @@ class _RationalField(_CoefficientField):
         # reduced Fractions, so no prime of that lcm divides them all
         values = [[x.value for x in row] for row in rows]
         den = lcm(*[v.denominator for row in values for v in row])
-        return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in values), den
+        if den == 1:
+            return tuple([tuple([v.numerator for v in row]) for row in values]), 1
+        return tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in values]), den
 
     def unpack(self, rows, den):
-        return [[Rational(Fraction(v, den)) for v in row] for row in rows]
+        make = Rational._of
+        if den == 1:
+            return [[make(Fraction(v)) for v in row] for row in rows]
+        return [[make(Fraction(v, den)) for v in row] for row in rows]
 
     def invert_packed(self, value, den):
         if not value:

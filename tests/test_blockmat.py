@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,13 @@ from blocklin import (
     map_leaves,
     mul,
     negate,
+    schur_invert,
     sub,
     to_dense,
     transpose,
     zero_matrix,
 )
+from blocklin.blockmat import invert_leaf
 from blocklin.cyclotomic import lift_field
 from blocklin.sampling import random_dense, random_matrix
 
@@ -456,3 +459,102 @@ def test_transpose_is_entrywise_swap_property(dense):
     for i in range(4):
         for j in range(4):
             assert flipped.rows[i][j] == dense.rows[j][i]
+
+
+# -- QQ blocks: one integer matrix over one denominator --------------------------
+
+
+def fraction_rows(m):
+    return [[x.value for x in row] for row in to_dense(m).rows]
+
+
+def fraction_product(x, y, sign=1, z=None):
+    """sign * (x . y) + z on lists of Fraction rows, entry by entry."""
+    n = len(x)
+    return [
+        [sign * sum(x[i][k] * y[k][j] for k in range(n)) + (z[i][j] if z else 0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def assert_packed(m, values):
+    """m holds integers over a positive denominator and has the entries ``values``."""
+    assert m._den > 0 and all(type(v) is int for row in m._rows for v in row)
+    assert fraction_rows(m) == values
+
+
+def test_qq_blocks_stay_integers_over_a_positive_denominator():
+    rng = random.Random(stable_seed("qq-packed"))
+    for depth in range(1, 4):
+        n = 1 << depth
+        x, y = mixed_denominator_operands(QQ, n)
+        _, z = mixed_denominator_operands(QQ, n, first=2 * n)
+        bx, by, bz = from_dense(x), from_dense(y), from_dense(z)
+        fx, fy, fz = fraction_rows(bx), fraction_rows(by), fraction_rows(bz)
+        parts = []
+        for sign in (1, -1):
+            for addend in (None, bz):
+                got = mul(bx, by, sign=sign, addend=addend)
+                assert_packed(got, fraction_product(fx, fy, sign, None if addend is None else fz))
+                parts.append(got)
+        # four results over four different denominators, joined over their lcm
+        assert len({p._den for p in parts}) > 1
+        joined = BlockMatrix.quad(*parts)
+        rows = [a + b for a, b in zip(*map(fraction_rows, parts[:2]))]
+        rows += [c + d for c, d in zip(*map(fraction_rows, parts[2:]))]
+        assert_packed(joined, rows)
+        for part, quadrant in zip(parts, joined.blocks):
+            assert quadrant._den == joined._den
+            assert_packed(quadrant, fraction_rows(part))
+            assert quadrant == part
+        # a random operand of small fractions, against the same reference
+        w = random_dense(QQ, n, rng)
+        w = DenseMatrix(n, [[v * Rational(1, rng.randint(1, 9)) for v in row] for row in w.rows], QQ)
+        assert_packed(mul(from_dense(w), bx), fraction_product(fraction_rows(from_dense(w)), fx))
+
+
+def test_equality_compares_values_over_different_denominators():
+    x, _ = mixed_denominator_operands(QQ, 8)
+    m = from_dense(x)
+    for quadrant in m.blocks:
+        rebuilt = from_dense(to_dense(quadrant))
+        assert quadrant == rebuilt and rebuilt == quadrant
+    # the top-left quadrant keeps the denominator of all 64 entries, its own
+    # entries need only 4 of its primes
+    assert m.a._den != from_dense(to_dense(m.a))._den
+    changed = to_dense(m.a)
+    changed.rows[0][0] = changed.rows[0][0] + Rational(1, 3)
+    assert m.a != from_dense(changed)
+    assert m.a != map_leaves(m.a, lambda v: GF(7).from_int(0))
+
+
+def test_negative_leaf_inverts_over_a_positive_denominator():
+    for value in (Rational(-3, 7), Rational(-5), Rational(2, 9), Rational(4)):
+        inverse = invert_leaf(BlockMatrix.leaf(value))
+        assert inverse._den > 0 and inverse.scalar == value.try_invert()
+    assert invert_leaf(BlockMatrix.leaf(Rational(0))) is None
+    m = ring_mat(QQ, [[-2, 1], [3, -4]])
+    inverse = schur_invert(m)
+    assert inverse._den > 0
+    assert grid(inverse) == [["-4/5", "-1/5"], ["-3/5", "-2/5"]]
+
+
+@given(st.lists(st.lists(small_rationals, min_size=3, max_size=3), min_size=3, max_size=3))
+@settings(max_examples=40)
+def test_qq_pack_unpack_round_trip_property(values):
+    rows, den = QQ.pack([[Rational(v) for v in row] for row in values])
+    assert den > 0 and all(type(v) is int for row in rows for v in row)
+    # the whole-matrix denominator is the least one: no prime of it divides every entry
+    assert gcd(den, *[v for row in rows for v in row]) == 1
+    assert [[x.value for x in row] for row in QQ.unpack(rows, den)] == values
+
+
+@given(dense_strategy(4), dense_strategy(4), dense_strategy(4), st.sampled_from([1, -1]), st.booleans())
+@settings(max_examples=40)
+def test_fused_mul_matches_schoolbook_on_fractions_property(dx, dy, dz, sign, with_addend):
+    fused = mul(from_dense(dx), from_dense(dy), sign=sign, addend=from_dense(dz) if with_addend else None)
+    product = schoolbook_mul(dx, dy)
+    expected = [[sign * v.value for v in row] for row in product.rows]
+    if with_addend:
+        expected = [[e + z.value for e, z in zip(row, z_row)] for row, z_row in zip(expected, dz.rows)]
+    assert_packed(fused, expected)

@@ -380,3 +380,21 @@ def test_usage_errors(tmp_path, capsys):
         "error: ldu needs a matrix of size >= 2",
         "error: sizes are capped at 64",
     ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ring q\nsize 1\n٣\n", "malformed rational token"),
+        ("ring gf:7\nsize 1\n²\n", "malformed prime field token"),
+        ("ring gf:٧\nsize 1\n1\n", "malformed prime field modulus"),
+        ("ring q\nsize ٢\n1 0\n0 1\n", "malformed size line"),
+    ],
+)
+def test_non_ascii_integers_exit_usage_with_the_format_message(tmp_path, capsys, text, message):
+    m = tmp_path / "digits.mat"
+    m.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run("invert", str(m)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "invalid literal" not in err and "Traceback" not in err

@@ -26,6 +26,7 @@ from blocklin import (
     invert_gram_transpose,
     is_invertible,
     lift_to_ratfun,
+    map_leaves,
     mul,
     project_to_base,
     schur_invert,
@@ -476,3 +477,38 @@ def test_is_invertible_runs_no_block_inversion(monkeypatch, tmp_path):
     out = tmp_path / "m.mat"
     assert cli.main(["gen", "--ring", "q", "--size", "6", "--seed", "1",
                      "--invertible", "-o", str(out)]) == 0
+
+
+# -- metamorphic checks over QQ ------------------------------------------------
+
+
+def qq_fraction_input(depth, rng):
+    """An invertible QQ matrix with small fractional entries, Schur-invertible or not."""
+    n = 1 << depth
+    while True:
+        rows = [[QQ.parse(f"{rng.randint(-6, 6)}/{rng.randint(1, 5)}") for _ in range(n)] for _ in range(n)]
+        m = from_dense(DenseMatrix(n, rows, QQ))
+        if is_invertible(m):
+            return m
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_qq_routes_agree_under_transposition_and_scaling(depth):
+    rng = random.Random(stable_seed("qq-metamorphic", depth))
+    c = QQ.parse("-7/3")
+    scale = lambda m, s: map_leaves(m, lambda x: s * x)
+    inputs = [qq_fraction_input(depth, rng) for _ in range(3)]
+    inputs.append(random_all_blocks_singular(QQ, depth, rng))
+    routes = 0
+    for m in inputs:
+        inverse = auto_invert(m)
+        assert invert_gram_transpose(m) == inverse
+        try:
+            assert schur_invert(m) == inverse
+            routes += 1
+        except PivotBlockSingular:
+            pass
+        assert auto_invert(transpose(m)) == transpose(inverse)
+        assert auto_invert(scale(m, c)) == scale(inverse, c.try_invert())
+    # both the Schur route and the Gram fallback were compared
+    assert 0 < routes < len(inputs)

@@ -71,3 +71,37 @@ def test_permutation_lines_round_trip():
 def test_malformed_permutations_rejected(text):
     with pytest.raises(MatrixFormatError):
         parse_permutations(text)
+
+
+# Integers in the format are ASCII digits 0-9 only; int() alone would read
+# other Unicode digits, signs, spaces and underscores.
+NON_ASCII_INTEGERS = [
+    ("ring q\nsize 1\n٣\n", "malformed rational token '٣'"),
+    ("ring q\nsize 1\n1/٣\n", "malformed rational token '1/٣'"),
+    ("ring q\nsize 1\n-²\n", "malformed rational token '-²'"),
+    ("ring gf:7\nsize 1\n٣\n", "malformed prime field token '٣'"),
+    ("ring gf:7\nsize 1\n²\n", "malformed prime field token '²'"),
+    ("ring qi\nsize 1\n1+٣*i\n", "malformed rational coefficient '+٣'"),
+    ("ring ratfun:gf:7\nsize 1\n(٣*t)\n", "malformed prime field coefficient '٣'"),
+    ("ring ratfun:q\nsize 1\n(t^²)\n", "malformed polynomial term 't^²'"),
+    ("ring ratfun:q\nsize 1\n(t^1_0)\n", "malformed polynomial term 't^1_0'"),
+    ("ring q\nsize ٢\n1 0\n0 1\n", "malformed size line 'size ٢'"),
+    ("ring q\nsize 1_6\n1\n", "malformed size line 'size 1_6'"),
+    ("ring q\nsize +1\n1\n", "malformed size line 'size +1'"),
+    ("ring gf:٧\nsize 1\n1\n", "malformed prime field modulus in 'gf:٧'"),
+    ("ring gf:+7\nsize 1\n1\n", "malformed prime field modulus in 'gf:+7'"),
+    ("ring ratfun:gf:7_0\nsize 1\n(1)\n", "malformed prime field modulus in 'gf:7_0'"),
+]
+
+
+@pytest.mark.parametrize("text, message", NON_ASCII_INTEGERS)
+def test_integers_are_ascii_digits_only(text, message):
+    with pytest.raises(MatrixFormatError) as caught:
+        parse_matrix(text)
+    assert message in str(caught.value)
+
+
+@pytest.mark.parametrize("line", ["perm-rows ٢ 1", "perm-rows 1_0 1", "perm-rows +2 1", "perm-rows ² 1"])
+def test_permutation_entries_are_ascii_digits_only(line):
+    with pytest.raises(MatrixFormatError, match="malformed permutation line"):
+        parse_permutations(f"{line}\nperm-cols 1 2\n")

@@ -18,6 +18,13 @@ Over GF(2), GF(7) and GF(65521), sympy's ``DomainMatrix`` inverse checks
 the base-field lift :func:`invert_gram_gv`, which runs in a cyclotomic
 extension of GF(p), at n = 8, 16 and 32.
 
+Over QQ, where a block matrix is one integer matrix over one denominator,
+sympy checks the block routes at n = 8, 16 and 32: the inverse of
+:func:`invert_gram_transpose` on all-blocks-singular input, the inverse of
+:func:`schur_invert` on input whose entries each carry their own prime
+denominator, and the factors of :func:`lu_decompose` on input
+whose leading block is singular, with P*L*U*Q rebuilt in sympy.
+
 sympy's ``K.frac_field(t)`` checks the rational functions over QQ, GF(2)
 and GF(7) in the same way: sums, differences, products, inverses,
 negations and the token syntax (parse, then format) of ``RatFun(K)``;
@@ -45,6 +52,8 @@ from blocklin import (  # noqa: E402
     RatFun,
     Rational,
     auto_invert,
+    invert_gram_transpose,
+    lu_decompose,
     dense_determinant,
     dense_identity,
     dense_mul,
@@ -142,6 +151,79 @@ def test_gf_lift_inverses_agree_with_sympy(p):
         assert [[as_ours(p, x) for x in row] for row in got] == [
             [as_plain(p, x) for x in row] for row in want
         ], (p, m.dimension)
+
+
+# -- QQ block routes against sympy's QQ ------------------------------------
+
+
+def qq_rows(m):
+    """The entries of a QQ block matrix as Fractions."""
+    return [[x.value for x in row] for row in to_dense(m).rows]
+
+
+def qq_block(rows):
+    return from_dense(ours(None, rows))
+
+
+def first_primes(count):
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % q for q in primes if q * q <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def prime_denominator_input(n, rng):
+    """Entries a / q with a in -9..9 and a distinct prime q for each entry up
+    to n = 16, for each row at n = 32 (where sympy takes seconds per
+    product of per-entry-prime matrices); redrawn until the Schur recursion
+    succeeds on it."""
+    primes = first_primes(n * n)
+    prime = (lambda i, j: primes[i * n + j]) if n <= 16 else (lambda i, j: primes[i])
+    while True:
+        rows = [[Fraction(rng.randint(-9, 9), prime(i, j)) for j in range(n)] for i in range(n)]
+        m = qq_block(rows)
+        try:
+            return m, schur_invert(m)
+        except PivotBlockSingular:
+            continue
+
+
+def singular_lead_input(n, rng):
+    """Invertible entries a / b with a singular leading half block (its first
+    row is zero), so the LU has to pivot at the root."""
+    while True:
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        rows[0][: n // 2] = [Fraction(0)] * (n // 2)
+        if theirs(None, rows).rank() == n:
+            return rows
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_qq_block_routes_agree_with_sympy(depth):
+    n = 1 << depth
+    rng = random.Random(stable_seed("sympy-qq-routes", depth))
+    singular = random_all_blocks_singular(QQ, depth, rng)
+    with pytest.raises(PivotBlockSingular):
+        schur_invert(singular)
+    want = theirs(None, qq_rows(singular)).inv().to_list()
+    assert qq_rows(invert_gram_transpose(singular)) == [[as_plain(None, x) for x in row] for row in want]
+
+    m, inverse = prime_denominator_input(n, rng)
+    want = theirs(None, qq_rows(m)).inv().to_list()
+    assert qq_rows(inverse) == [[as_plain(None, x) for x in row] for row in want]
+
+    rows = singular_lead_input(n, rng)
+    result = lu_decompose(qq_block(rows))
+    p, q = result.permutation_vectors()
+    low, up = qq_rows(result.l.body), qq_rows(result.u.body)
+    assert all(low[i][i] == 1 and not any(low[i][i + 1 :]) for i in range(n))
+    assert all(up[i][i] != 0 and not any(up[i][:i]) for i in range(n))
+    product = (theirs(None, low) * theirs(None, up)).to_list()
+    rebuilt = [[as_plain(None, product[p[i]][q[j]]) for j in range(n)] for i in range(n)]
+    assert rebuilt == rows
+    assert p != list(range(n)) or q != list(range(n))
 
 
 # -- Gaussian rationals against sympy's QQ_I, quaternions by schoolbook -----
