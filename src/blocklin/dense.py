@@ -57,8 +57,8 @@ def dense_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     # each row of a and each column of b packed over its own denominator,
     # which keeps the integers small when the denominators differ from row
     # to row, as in the factors of an LU
-    left = [ring.pack((row,)) for row in a.rows]
-    right = [ring.pack((col,)) for col in zip(*b.rows)]
+    left = list(map(ring.pack, zip(a.rows)))
+    right = list(map(ring.pack, zip(zip(*b.rows))))
     sums = ring.dot_rows([row for (row,), _ in left], [col for (col,), _ in right])
     col_den = lcm(*[den for _, den in right])
     if col_den > 1:

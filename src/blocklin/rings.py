@@ -44,7 +44,7 @@ raw residues for GF(p), on packed ints for the lift fields of
 residues for GF(p), and on scalar objects elsewhere.
 
 Integers in tokens, specs and matrix files are ASCII digits 0-9 only
-(``_DIGITS``, read by :func:`parse_natural` and the rational token).
+(:func:`parse_natural`, and the rational token's pattern).
 
 One more ring, with no file syntax and no spec, lives in
 :mod:`blocklin.cyclotomic`: the finite field GF(p)[t]/Phi_l in which the
@@ -556,12 +556,8 @@ def ratfun_reduce(num, den, field) -> RationalFunction:
 
 
 _TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
-# the one definition of an unsigned integer in the format: ASCII digits
-# only, where \d, str.isdigit and int() also take other Unicode digits,
-# and int() signs, spaces and underscores as well
-_DIGITS = "[0-9]+"
-_NATURAL = re.compile(_DIGITS + r"\Z")
-_RATIONAL_TOKEN = re.compile(f"([+-]?{_DIGITS})(?:/({_DIGITS}))?\\Z")
+# digits are [0-9], as in parse_natural: \d would take other Unicode digits
+_RATIONAL_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 # Largest t exponent a polynomial token may carry, as the parser allocates
 # one coefficient per power: far above the degree 2 * 256 that the inverse
@@ -577,9 +573,13 @@ def _split_terms(token: str):
 
 
 def parse_natural(text: str) -> int | None:
-    """The int of ``text`` if it is one or more ASCII digits 0-9, else None:
-    the reader of sizes, permutation entries, moduli and t exponents."""
-    return int(text) if _NATURAL.match(text) else None
+    """The int of ``text`` if it is one or more ASCII digits 0-9, else None.
+
+    The reader of every unsigned integer of the format but those inside a
+    rational token: ``int()`` alone also takes other Unicode digits, signs,
+    spaces and underscores, and ``str.isdigit`` other Unicode digits.
+    """
+    return int(text) if text.isascii() and text.isdigit() else None
 
 
 def _parse_signed(text: str) -> int | None:
