@@ -223,7 +223,7 @@ def _reduced(rows, depth, ring, den) -> BlockMatrix:
     g = den
     for row in rows:
         if g == 1:
-            return BlockMatrix(tuple(map(tuple, rows)), depth, ring, den)
+            break
         g = gcd(g, *row)
     if g == 1:
         return BlockMatrix(tuple(map(tuple, rows)), depth, ring, den)
