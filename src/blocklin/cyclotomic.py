@@ -11,9 +11,12 @@ l - 1 > n(n-1): the lift falls back to it when the small field meets a
 zero pivot.  Their elements offer exactly what the lift needs:
 ``t_power``, +, -, *, ``try_invert`` and ``is_constant`` /
 ``constant_value``; the rings have no file syntax and no spec.  An element
-is one packed int, and matrix products run on the field's own packed
-``dot_rows``.  Inversion runs the extended Euclidean algorithm on GF(p)'s
-own polynomial kernels.
+is one packed int, a raw value of its field, and the field owns the
+arithmetic, as every single-value ring of :mod:`blocklin.rings` does: each
+operator of an element is one call of the field's ``raw_add``,
+``raw_sub``, ``raw_neg``, ``raw_mul`` or ``raw_inv``, and matrix products
+run on the field's own packed ``dot_rows``.  ``raw_inv`` runs the extended
+Euclidean algorithm on GF(p)'s own polynomial kernels.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .rings import GF, RingElement, _Ring, is_prime
+from .rings import GF, _Element, _Ring, is_prime
 
 __all__ = ["lift_field", "small_field"]
 
@@ -59,24 +62,14 @@ def _lift_order(p: int, n: int) -> int:
     return order
 
 
-class _CyclotomicElement(RingElement):
-    """An element of GF(p)[t]/Phi_l, packed into one int by its field."""
+class _CyclotomicElement(_Element):
+    """An element of GF(p)[t]/Phi_l: ``value`` is the int its field packs it into."""
 
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field):
-        self.value = value
-        self.field = field
-
-    @property
-    def ring(self):
-        return self.field
-
-    def is_zero(self):
-        return not self.value
+    __slots__ = ()
+    field = property(lambda self: self.ring)
 
     def is_constant(self) -> bool:
-        return self.value >> self.field.width == 0
+        return self.value >> self.ring.width == 0
 
     def constant_value(self) -> int:
         """Residue of a constant; requires ``is_constant()``."""
@@ -84,49 +77,8 @@ class _CyclotomicElement(RingElement):
             raise ValueError("not a constant")
         return self.value
 
-    def try_invert(self):
-        if not self.value:
-            return None
-        return _CyclotomicElement(self.field.invert(self.value), self.field)
-
-    def _mismatch(self, other):
-        if isinstance(other, _CyclotomicElement):
-            raise TypeError("mixed lift fields")
-        return NotImplemented
-
-    def __add__(self, other):
-        f = self.field
-        if getattr(other, "field", None) is not f:
-            return self._mismatch(other)
-        return _CyclotomicElement(f.add(self.value, other.value), f)
-
-    def __sub__(self, other):
-        f = self.field
-        if getattr(other, "field", None) is not f:
-            return self._mismatch(other)
-        return _CyclotomicElement(f.sub(self.value, other.value), f)
-
-    def __neg__(self):
-        return _CyclotomicElement(self.field.neg(self.value), self.field)
-
-    def __mul__(self, other):
-        f = self.field
-        if getattr(other, "field", None) is not f:
-            return self._mismatch(other)
-        return _CyclotomicElement(f.mul(self.value, other.value), f)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, _CyclotomicElement)
-            and self.field is other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash(("_CyclotomicElement", self.field.spec, self.value))
-
     def __repr__(self):
-        return f"_CyclotomicElement({self.field.coefficients(self.value)}, {self.field.spec})"
+        return f"_CyclotomicElement({self.ring.coefficients(self.value)}, {self.ring.spec})"
 
 
 class _CyclotomicField(_Ring):
@@ -144,6 +96,10 @@ class _CyclotomicField(_Ring):
     chunk.  Sums and differences reduce all slots at once with a guard bit
     per slot; over GF(2) they are XOR.
     """
+
+    element = _CyclotomicElement
+    raw_zero = 0
+    raw_one = 1
 
     def __init__(self, p: int, order: int):
         self.p = p
@@ -165,8 +121,8 @@ class _CyclotomicField(_Ring):
         self._p_all = p * self._ones
         self._guard_offset = ((1 << self._guard) - p) * self._ones
         if p == 2:
-            self.add = self.sub = self._xor
-            self.neg = self._same
+            self.raw_add = self.raw_sub = self._xor
+            self.raw_neg = self._same
             self._settle = self._settle_gf2
         elif w * p < 256:
             # byte j of a slot weighs 256^j; its share mod p is a table lookup,
@@ -175,23 +131,17 @@ class _CyclotomicField(_Ring):
             self._minus = [bytes((b - c) % p for b in range(256)) for c in range(p)]
             self._settle = self._settle_bytes
 
-    def zero(self):
-        return _CyclotomicElement(0, self)
-
-    def one(self):
-        return _CyclotomicElement(1, self)
-
     def lift(self, x):
         """Embed a prime-field element as a constant."""
-        return _CyclotomicElement(x.residue, self)
+        return self.wrap(x.value)
 
     def t_power(self, exponent: int):
         """t**exponent for any integer exponent, negatives included."""
         e = exponent % self.order
         if e < self.order - 1:
-            return _CyclotomicElement(1 << (self.width * e), self)
+            return self.wrap(1 << (self.width * e))
         # t^(l-1) = -(1 + t + ... + t^(l-2))
-        return _CyclotomicElement((self.p - 1) * self._ones, self)
+        return self.wrap((self.p - 1) * self._ones)
 
     # packed-int kernels
 
@@ -199,16 +149,16 @@ class _CyclotomicField(_Ring):
         # each slot holds a value in [0, 2p); subtract p where it is >= p
         return v - ((v + self._guard_offset) >> self._guard & self._ones) * self.p
 
-    def add(self, a, b):
+    def raw_add(self, a, b):
         return self._reduce(a + b)
 
-    def sub(self, a, b):
+    def raw_sub(self, a, b):
         return self._reduce(a - b + self._p_all)
 
-    def neg(self, a):
+    def raw_neg(self, a):
         return self._reduce(self._p_all - a)
 
-    def mul(self, a, b):
+    def raw_mul(self, a, b):
         return self._settle(a * b)
 
     def dot_rows(self, rows, cols, addend=None, sign=1):
@@ -216,7 +166,7 @@ class _CyclotomicField(_Ring):
 
         Each dot product of up to ``chunk`` terms is one bigint sum of
         packed products and one ``_settle``; the sign and the addend then
-        meet the settled value through ``neg``, ``add`` or ``sub``.  Field
+        meet the settled value through ``raw_neg``, ``raw_add`` or ``raw_sub``.  Field
         arithmetic is canonical, so the entries equal those of the
         pairwise scalar kernel of :meth:`_Ring.dot_rows`.
         """
@@ -229,11 +179,11 @@ class _CyclotomicField(_Ring):
             sums = [[settle(sum(map(mul, a, b))) for b in right] for a in left]
         if addend is None:
             if sign < 0:
-                sums = [list(map(self.neg, row)) for row in sums]
-            return [[_CyclotomicElement(v, self) for v in row] for row in sums]
-        combine = self.add if sign > 0 else self.sub
+                sums = [list(map(self.raw_neg, row)) for row in sums]
+            return [[self.wrap(v) for v in row] for row in sums]
+        combine = self.raw_add if sign > 0 else self.raw_sub
         return [
-            [_CyclotomicElement(combine(z.value, v), self) for z, v in zip(z_row, row)]
+            [self.wrap(combine(z.value, v)) for z, v in zip(z_row, row)]
             for z_row, row in zip(addend, sums)
         ]
 
@@ -241,7 +191,7 @@ class _CyclotomicField(_Ring):
         step = self.chunk
         total = 0
         for k in range(0, len(a), step):
-            total = self.add(total, self._settle(sum(map(operator.mul, a[k : k + step], b[k : k + step]))))
+            total = self.raw_add(total, self._settle(sum(map(operator.mul, a[k : k + step], b[k : k + step]))))
         return total
 
     def _settle(self, v):
@@ -292,7 +242,7 @@ class _CyclotomicField(_Ring):
         """The l - 1 coefficients of a packed element, lowest degree first."""
         return self._unpack(a, self.order - 1)
 
-    def invert(self, a):
+    def raw_inv(self, a):
         """Inverse of a nonzero packed element by the extended Euclidean algorithm."""
         base = GF(self.p)
         # the loop ends only on a canonical remainder, so r1 starts reduced

@@ -11,15 +11,19 @@ immutable ring instances:
                      for K one of QQ or GF(p).
 
 Ring handles expose construction, random sampling, and the canonical
-whitespace-free token syntax used by the matrix file format.  Elements
-overload the usual operators and additionally provide ``star()`` (a ring
-involution, the identity where no natural conjugation exists) and
-``try_invert()`` (returns the multiplicative inverse or ``None``).
+whitespace-free token syntax used by the matrix file format.  Outside
+K(t), an element is one raw value of its ring (``value``: a Fraction, a
+residue, a tuple of rational parts) beside the ring handle, which owns the
+arithmetic: each of the element's +, -, * and negation, and its
+``try_invert()`` (the multiplicative inverse or ``None``), is one call of
+the handle's ``raw_*`` operation on raw values.  Every element also
+provides ``star()``, a ring involution, the identity where no natural
+conjugation exists.
 
 QQ_I and QUAT are two instances of one algebra over QQ: their elements
-hold a tuple of rational parts, and a sign table on the element type is
-the only definition of their product.  The element product, the row
-kernel and the ring's ``commutative`` flag all read that table.
+hold a tuple of rational parts, and a sign table on the ring handle is
+the only definition of their product.  The handle's ``raw_mul``, its row
+kernel and its ``commutative`` flag all read that table.
 
 QQ and GF(p), the coefficient fields of K(t), share one set of polynomial
 kernels on raw coefficient lists (Fractions over QQ, residues in [0, p)
@@ -135,264 +139,166 @@ def _plus_fraction(num, den, z):
 class RingElement:
     """Protocol shared by all scalar types.
 
-    Subclasses overload +, -, * and == and provide ``is_zero``, ``star``,
-    ``try_invert`` and a ``ring`` handle.  Mixed-ring arithmetic is a
-    TypeError, never a coercion.
+    Every scalar supports +, -, * and == within its ring and provides a
+    ``ring`` handle, ``is_zero``, ``star`` and ``try_invert``.  Mixed-ring
+    arithmetic is a TypeError, never a coercion.
     """
 
     __slots__ = ()
-
-    @property
-    def ring(self):
-        raise NotImplementedError
-
-    def is_zero(self) -> bool:
-        raise NotImplementedError
 
     def star(self):
         """Ring involution; identity unless the ring has a conjugation."""
         return self
 
-    def try_invert(self):
-        """Multiplicative inverse, or None when the element is not a unit."""
-        raise NotImplementedError
 
+class _Element(RingElement):
+    """One value of a single-value ring: ``value`` in the ring's raw form,
+    and the ring handle ``ring``, which owns the arithmetic.
 
-class Rational(RingElement):
-    """An exact rational number, canonically reduced with positive denominator."""
+    The raw form is a Fraction over QQ, a residue in [0, p) over GF(p), a
+    tuple of rational parts over QQ_I and QUAT, and a packed int in a lift
+    field of :mod:`blocklin.cyclotomic`.  Each operator is one call of the
+    handle's ``raw_add``, ``raw_sub``, ``raw_neg``, ``raw_mul`` or
+    ``raw_inv``, whose result the handle wraps as it is.  Elements of one
+    ring are equal when their raw values are; an element of another ring is
+    never equal, and arithmetic with it is a TypeError.  Subclasses add only
+    their public constructors, named attributes and ``repr``.
+    """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "ring")
 
-    def __init__(self, numerator=0, denominator=1):
-        if isinstance(numerator, Fraction) and denominator == 1:
-            self.value = numerator
-            return
-        try:
-            self.value = Fraction(numerator, denominator)
-        except ZeroDivisionError:
-            raise ZeroDenominator("rational with denominator 0") from None
-
-    @classmethod
-    def _of(cls, value):
-        """The element of a Fraction, taken as it is."""
-        x = object.__new__(cls)
-        x.value = value
-        return x
-
-    @property
-    def ring(self):
-        return QQ
+    def __init__(self, value, ring):
+        self.value = value
+        self.ring = ring
 
     def is_zero(self):
-        return self.value == 0
+        return self.value == self.ring.raw_zero
 
     def try_invert(self):
-        if self.value == 0:
+        """Multiplicative inverse, or None when the element is zero."""
+        if self.is_zero():
             return None
-        return Rational(1 / self.value)
+        ring = self.ring
+        return ring.wrap(ring.raw_inv(self.value))
+
+    def _mixed(self, other):
+        # a scalar of another ring is an error; anything else is left to Python
+        if isinstance(other, RingElement):
+            raise TypeError(f"mixed rings {self.ring.spec} and {other.ring.spec}")
+        return NotImplemented
 
     def __add__(self, other):
-        if not isinstance(other, Rational):
-            return NotImplemented
-        return Rational(self.value + other.value)
+        ring = self.ring
+        if getattr(other, "ring", None) is not ring:
+            return self._mixed(other)
+        return ring.wrap(ring.raw_add(self.value, other.value))
 
     def __sub__(self, other):
-        if not isinstance(other, Rational):
-            return NotImplemented
-        return Rational(self.value - other.value)
+        ring = self.ring
+        if getattr(other, "ring", None) is not ring:
+            return self._mixed(other)
+        return ring.wrap(ring.raw_sub(self.value, other.value))
 
     def __neg__(self):
-        return Rational(-self.value)
+        ring = self.ring
+        return ring.wrap(ring.raw_neg(self.value))
 
     def __mul__(self, other):
-        if not isinstance(other, Rational):
-            return NotImplemented
-        return Rational(self.value * other.value)
+        ring = self.ring
+        if getattr(other, "ring", None) is not ring:
+            return self._mixed(other)
+        return ring.wrap(ring.raw_mul(self.value, other.value))
 
     def __eq__(self, other):
-        return isinstance(other, Rational) and self.value == other.value
+        return getattr(other, "ring", None) is self.ring and self.value == other.value
 
     def __hash__(self):
-        return hash(("Rational", self.value))
+        return hash((self.ring, self.value))
+
+
+class Rational(_Element):
+    """An exact rational number: ``value`` is a Fraction, which is reduced
+    with a positive denominator."""
+
+    __slots__ = ()
+
+    def __init__(self, numerator=0, denominator=1):
+        if not (isinstance(numerator, (int, Fraction)) and isinstance(denominator, (int, Fraction))):
+            raise TypeError("Rational takes an int or Fraction numerator and denominator")
+        if denominator == 1 and isinstance(numerator, Fraction):
+            self.value = numerator
+        else:
+            try:
+                self.value = Fraction(numerator, denominator)
+            except ZeroDivisionError:
+                raise ZeroDenominator("rational with denominator 0") from None
+        self.ring = QQ
 
     def __repr__(self):
         return f"Rational({self.value})"
 
 
-class PrimeFieldElement(RingElement):
-    """A residue modulo a fixed prime p, stored in [0, p)."""
+class PrimeFieldElement(_Element):
+    """A residue modulo a fixed prime p: ``value`` lies in [0, p)."""
 
-    __slots__ = ("residue", "modulus")
+    __slots__ = ()
 
     def __init__(self, residue: int, modulus: int):
-        GF(modulus)  # validates primality once per modulus
-        self.residue = residue % modulus
-        self.modulus = modulus
+        if not isinstance(residue, int):
+            raise TypeError("PrimeFieldElement takes an int residue")
+        self.ring = GF(modulus)  # validates primality once per modulus
+        self.value = residue % modulus
 
-    @classmethod
-    def _of(cls, residue, modulus):
-        """The element of a residue already in [0, modulus), taken as it is."""
-        x = object.__new__(cls)
-        x.residue = residue
-        x.modulus = modulus
-        return x
-
-    @property
-    def ring(self):
-        return GF(self.modulus)
-
-    def is_zero(self):
-        return self.residue == 0
-
-    def try_invert(self):
-        if self.residue == 0:
-            return None
-        return PrimeFieldElement(pow(self.residue, -1, self.modulus), self.modulus)
-
-    def _check(self, other):
-        if not isinstance(other, PrimeFieldElement):
-            return False
-        if other.modulus != self.modulus:
-            raise TypeError("mixed prime field moduli")
-        return True
-
-    def __add__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        return PrimeFieldElement(self.residue + other.residue, self.modulus)
-
-    def __sub__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        return PrimeFieldElement(self.residue - other.residue, self.modulus)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.residue, self.modulus)
-
-    def __mul__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        return PrimeFieldElement(self.residue * other.residue, self.modulus)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeFieldElement)
-            and self.modulus == other.modulus
-            and self.residue == other.residue
-        )
-
-    def __hash__(self):
-        return hash(("PrimeFieldElement", self.modulus, self.residue))
+    residue = property(lambda self: self.value)
+    modulus = property(lambda self: self.ring.p)
 
     def __repr__(self):
-        return f"PrimeFieldElement({self.residue}, {self.modulus})"
+        return f"PrimeFieldElement({self.value}, {self.ring.p})"
 
 
-class _AlgebraElement(RingElement):
+class _AlgebraElement(_Element):
     """x_0 + x_1*e_1 + x_2*e_2 + ... with rational parts x_p, in an algebra
-    over QQ whose basis e_0 = 1, e_1, ... multiplies by the class's sign
-    table: e_p * e_q = signs[p][q] * e_(p xor q), left factor first.
+    over QQ whose handle holds the sign table of its basis (see
+    :class:`_QQAlgebra`); ``value`` is the tuple of parts.
 
-    The table is the only definition of the product: the element product,
-    the ring handle's row kernel and its ``commutative`` flag all read it.
     Every e_p with p > 0 squares to -1 and anticommutes with the others, so
     ``star``, which negates every part but x_0, is an anti-involution and
     star(x) * x is the central rational ``norm()``, the sum of the squared
     parts.  Construction pads missing trailing parts with zeros.
     """
 
-    __slots__ = ("parts",)
-
-    def __init_subclass__(cls):
-        # the table read once per class: for each part c of a product, the
-        # terms (p, q, added or subtracted) with p xor q = c and p > 0
-        signs = cls.signs
-        k = len(signs)
-        cls._terms = tuple(tuple((p, c ^ p, signs[p][c ^ p] > 0) for p in range(1, k)) for c in range(k))
+    __slots__ = ()
+    # the handle whose elements this class builds; set by _QQAlgebra
+    algebra = None
 
     def __init__(self, *parts):
-        k = len(self.signs)
+        ring = self.algebra
+        k = len(ring.signs)
         if len(parts) > k or not all(isinstance(v, (int, Fraction)) for v in parts):
             raise TypeError(f"{type(self).__name__} takes at most {k} int or Fraction parts")
-        self.parts = tuple(map(Fraction, parts)) + (Fraction(0),) * (k - len(parts))
+        self.value = tuple(map(Fraction, parts)) + ring.raw_zero[len(parts) :]
+        self.ring = ring
 
-    @classmethod
-    def _of(cls, parts):
-        """The element of a full tuple of Fractions, taken as it is."""
-        x = object.__new__(cls)
-        x.parts = parts
-        return x
-
-    def is_zero(self):
-        return not any(self.parts)
+    parts = property(lambda self: self.value)
 
     def star(self):
-        x = self.parts
-        return self._of((x[0], *map(operator.neg, x[1:])))
+        x = self.value
+        return self.ring.wrap((x[0], *map(operator.neg, x[1:])))
 
     def norm(self) -> Fraction:
         """star(x) * x as a rational: the sum of the squared parts."""
-        # started at a Fraction, not at the int 0, so every addition is
-        # Fraction + Fraction
-        x = self.parts
-        return sum(map(operator.mul, x[1:], x[1:]), x[0] * x[0])
-
-    def try_invert(self):
-        if self.is_zero():
-            return None
-        # star(x) / norm(x), without building star(x)
-        n = self.norm()
-        x = self.parts
-        return self._of((x[0] / n, *[-v / n for v in x[1:]]))
-
-    def __add__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._of(tuple(map(operator.add, self.parts, other.parts)))
-
-    def __sub__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._of(tuple(map(operator.sub, self.parts, other.parts)))
-
-    def __neg__(self):
-        return self._of(tuple(map(operator.neg, self.parts)))
-
-    def __mul__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # part c of the product gathers x_p * y_q over p xor q = c; e_0 = 1
-        # gives x_0 * y_c its sign +1, and each other term is added or
-        # subtracted by the table, never multiplied by its sign
-        x, y = self.parts, other.parts
-        out = []
-        for c, terms in enumerate(self._terms):
-            acc = x[0] * y[c]
-            for p, q, plus in terms:
-                if plus:
-                    acc += x[p] * y[q]
-                else:
-                    acc -= x[p] * y[q]
-            out.append(acc)
-        return self._of(tuple(out))
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((type(self).__name__, *self.parts))
+        return self.ring.raw_norm(self.value)
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
+        return f"{type(self).__name__}({', '.join(map(str, self.value))})"
 
 
 class GaussianRational(_AlgebraElement):
     """a + b*i with rational a, b; ``star`` is complex conjugation."""
 
     __slots__ = ()
-    signs = ((1, 1), (1, -1))
-    re = property(lambda self: self.parts[0])
-    im = property(lambda self: self.parts[1])
+    re = property(lambda self: self.value[0])
+    im = property(lambda self: self.value[1])
 
 
 class Quaternion(_AlgebraElement):
@@ -404,12 +310,10 @@ class Quaternion(_AlgebraElement):
     """
 
     __slots__ = ()
-    # bases 1, i, j, k as e_0 .. e_3: i*i = j*j = k*k = -1, i*j = k = -j*i, cyclically
-    signs = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
-    a = property(lambda self: self.parts[0])
-    b = property(lambda self: self.parts[1])
-    c = property(lambda self: self.parts[2])
-    d = property(lambda self: self.parts[3])
+    a = property(lambda self: self.value[0])
+    b = property(lambda self: self.value[1])
+    c = property(lambda self: self.value[2])
+    d = property(lambda self: self.value[3])
 
 
 class RationalFunction(RingElement):
@@ -643,19 +547,34 @@ def _format_units(parts, units: str) -> str:
 
 
 class _Ring:
-    """Handle for one scalar ring: construction, sampling, token syntax."""
+    """Handle for one scalar ring: construction, sampling, token syntax.
+
+    A single-value ring (every ring but K(t)) also owns the arithmetic of
+    its elements, instances of ``element`` that hold one raw value each:
+    ``raw_add``, ``raw_sub``, ``raw_neg``, ``raw_mul`` and ``raw_inv`` on
+    raw values, and the raw ``raw_zero``, ``raw_one`` and
+    ``raw_from_int(n)``.
+    """
 
     spec = ""
     commutative = True
+    element = None
+
+    def wrap(self, raw):
+        """The element of a raw value, taken as it is."""
+        x = object.__new__(self.element)
+        x.value = raw
+        x.ring = self
+        return x
 
     def zero(self):
-        raise NotImplementedError
+        return self.wrap(self.raw_zero)
 
     def one(self):
-        raise NotImplementedError
+        return self.wrap(self.raw_one)
 
     def from_int(self, n: int):
-        raise NotImplementedError
+        return self.wrap(self.raw_from_int(n))
 
     def parse(self, token: str):
         raise NotImplementedError
@@ -823,27 +742,28 @@ class _CoefficientField(_Ring):
 
 class _RationalField(_CoefficientField):
     spec = "q"
+    element = Rational
 
     raw_zero = Fraction(0)
     raw_one = Fraction(1)
+    raw_add = staticmethod(operator.add)
+    raw_sub = staticmethod(operator.sub)
+    raw_neg = staticmethod(operator.neg)
+    raw_mul = staticmethod(operator.mul)
+    raw_from_int = staticmethod(Fraction)
 
-    def zero(self):
-        return Rational(0)
-
-    def one(self):
-        return Rational(1)
-
-    def from_int(self, n):
-        return Rational(n)
+    @staticmethod
+    def raw_inv(a):
+        return 1 / a
 
     def parse(self, token):
-        return Rational(_parse_rational(token))
+        return self.wrap(_parse_rational(token))
 
     def format(self, x):
         return str(x.value)
 
     def random_element(self, rng):
-        return Rational(rng.randint(-9, 9))
+        return self.from_int(rng.randint(-9, 9))
 
     def pack(self, rows):
         # integers over the lcm of all denominators; the entries are
@@ -855,7 +775,7 @@ class _RationalField(_CoefficientField):
         return tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in values]), den
 
     def unpack(self, rows, den):
-        make = Rational._of
+        make = self.wrap
         if den == 1:
             return [[make(Fraction(v)) for v in row] for row in rows]
         return [[make(Fraction(v, den)) for v in row] for row in rows]
@@ -887,7 +807,7 @@ class _RationalField(_CoefficientField):
         while a:
             k = next((r for r, row in enumerate(a) if row[0]), None)
             if k is None:
-                return Rational(0)
+                return self.zero()
             if k:
                 a[0], a[k] = a[k], a[0]
                 sign = -sign
@@ -898,7 +818,7 @@ class _RationalField(_CoefficientField):
                 for row in a[1:]
             ]
             prev = pivot
-        return Rational(Fraction(sign * prev, scale))
+        return self.wrap(Fraction(sign * prev, scale))
 
     def poly_gcd(self, a, b):
         # primitive remainder sequence on integer coefficients, content
@@ -915,32 +835,15 @@ class _RationalField(_CoefficientField):
         return [Fraction(c, a[-1]) for c in a] if a else []
 
     @staticmethod
-    def raw_mul(a, b):
-        return a * b
-
-    @staticmethod
-    def raw_inv(a):
-        return 1 / a
-
-    @staticmethod
-    def raw_from_int(n):
-        return Fraction(n)
-
-    @staticmethod
     def raw_parse(text):
         return _parse_coefficient(text)
-
-    def wrap(self, raw):
-        return Rational(raw)
-
-    def unwrap(self, x):
-        return x.value
 
 
 QQ = _RationalField()
 
 
 class _PrimeField(_CoefficientField):
+    element = PrimeFieldElement
     raw_zero = 0
     raw_one = 1
 
@@ -948,49 +851,40 @@ class _PrimeField(_CoefficientField):
         self.p = p
         self.spec = f"gf:{p}"
 
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
-
-    def one(self):
-        return PrimeFieldElement(1, self.p)
-
-    def from_int(self, n):
-        return PrimeFieldElement(n, self.p)
-
     def parse(self, token):
         value = parse_natural(token)
         if value is None:
             raise ValueError(f"malformed prime field token {token!r}")
-        return PrimeFieldElement(value, self.p)
+        return self.wrap(value % self.p)
 
     def format(self, x):
-        return str(x.residue)
+        return str(x.value)
 
     def random_element(self, rng):
-        return PrimeFieldElement(rng.randrange(self.p), self.p)
+        return self.wrap(rng.randrange(self.p))
 
     def dot_rows(self, rows, cols, addend=None, sign=1):
         # residue dot products, one reduction per entry, into which the sign
         # and the addend are folded; the reduced residues need no check
-        p, make = self.p, PrimeFieldElement._of
-        left = [[s.residue for s in row] for row in rows]
-        right = [[s.residue for s in col] for col in cols]
+        p, make = self.p, self.wrap
+        left = [[s.value for s in row] for row in rows]
+        right = [[s.value for s in col] for col in cols]
         if addend is None:
-            return [[make(sign * sum(map(operator.mul, a, b)) % p, p) for b in right] for a in left]
+            return [[make(sign * sum(map(operator.mul, a, b)) % p) for b in right] for a in left]
         return [
-            [make((sign * sum(map(operator.mul, a, b)) + z.residue) % p, p) for b, z in zip(right, z_row)]
+            [make((sign * sum(map(operator.mul, a, b)) + z.value) % p) for b, z in zip(right, z_row)]
             for a, z_row in zip(left, addend)
         ]
 
     def pivot_product(self, rows):
         # elimination on raw residues; the rows shrink by the pivot column
         p = self.p
-        a = [[s.residue for s in row] for row in rows]
+        a = [[s.value for s in row] for row in rows]
         det = 1
         while a:
             k = next((r for r, row in enumerate(a) if row[0]), None)
             if k is None:
-                return PrimeFieldElement(0, p)
+                return self.zero()
             if k:
                 a[0], a[k] = a[k], a[0]
                 det = -det
@@ -1002,7 +896,16 @@ class _PrimeField(_CoefficientField):
                 factor = row[0] * pivot_inv % p
                 out.append([(x - factor * y) % p for x, y in zip(row[1:], rest)] if factor else row[1:])
             a = out
-        return PrimeFieldElement._of(det, p)
+        return self.wrap(det)
+
+    def raw_add(self, a, b):
+        return (a + b) % self.p
+
+    def raw_sub(self, a, b):
+        return (a - b) % self.p
+
+    def raw_neg(self, a):
+        return -a % self.p
 
     def raw_mul(self, a, b):
         return a * b % self.p
@@ -1018,12 +921,6 @@ class _PrimeField(_CoefficientField):
         if value is None:
             raise ValueError(f"malformed prime field coefficient {text!r}")
         return value % self.p
-
-    def wrap(self, raw):
-        return PrimeFieldElement(raw, self.p)
-
-    def unwrap(self, x):
-        return x.residue
 
     def _reduce(self, coeffs):
         p = self.p
@@ -1043,36 +940,80 @@ def GF(p: int) -> _PrimeField:
 
 
 class _QQAlgebra(_Ring):
-    """Handle of QQ_I or QUAT: an algebra over QQ whose ``element`` type
-    carries the sign table, and whose ``ring`` the handle becomes.
-    ``units`` are the letters of e_1, e_2, ... in the token syntax, and
-    sampled parts lie in [-bound, bound]."""
+    """Handle of QQ_I or QUAT: an algebra over QQ with basis e_0 = 1, e_1,
+    ... that multiplies by the sign table ``signs``: e_p * e_q = signs[p][q]
+    * e_(p xor q), left factor first.
+
+    The table is the only definition of the product: ``raw_mul``, the row
+    kernel and the ``commutative`` flag all read it.  ``element`` is the
+    class of the algebra's elements, ``units`` are the letters of e_1, e_2,
+    ... in the token syntax, and sampled parts lie in [-bound, bound].
+    """
 
     trivial_star = False
 
-    def __init__(self, spec, element, units, bound):
+    def __init__(self, spec, element, units, bound, signs):
         self.spec, self.element, self.units, self.bound = spec, element, units, bound
-        signs = element.signs
-        self.commutative = all(signs[p][q] == signs[q][p] for p in range(len(signs)) for q in range(p))
-        element.ring = self
+        self.signs = signs
+        k = len(signs)
+        self.commutative = all(signs[p][q] == signs[q][p] for p in range(k) for q in range(p))
+        # the table read once: for each part c of a product, the terms
+        # (p, q, added or subtracted) with p xor q = c and p > 0
+        self._terms = tuple(tuple((p, c ^ p, signs[p][c ^ p] > 0) for p in range(1, k)) for c in range(k))
+        self.raw_zero = (Fraction(0),) * k
+        self.raw_one = (Fraction(1), *self.raw_zero[1:])
+        element.algebra = self
 
-    def zero(self):
-        return self.element()
+    def raw_from_int(self, n):
+        return (Fraction(n), *self.raw_zero[1:])
 
-    def one(self):
-        return self.element(1)
+    @staticmethod
+    def raw_add(x, y):
+        return tuple(map(operator.add, x, y))
 
-    def from_int(self, n):
-        return self.element(n)
+    @staticmethod
+    def raw_sub(x, y):
+        return tuple(map(operator.sub, x, y))
+
+    @staticmethod
+    def raw_neg(x):
+        return tuple(map(operator.neg, x))
+
+    def raw_mul(self, x, y):
+        # part c of the product gathers x_p * y_q over p xor q = c; e_0 = 1
+        # gives x_0 * y_c its sign +1, and each other term is added or
+        # subtracted by the table, never multiplied by its sign
+        out = []
+        for c, terms in enumerate(self._terms):
+            acc = x[0] * y[c]
+            for p, q, plus in terms:
+                if plus:
+                    acc += x[p] * y[q]
+                else:
+                    acc -= x[p] * y[q]
+            out.append(acc)
+        return tuple(out)
+
+    @staticmethod
+    def raw_norm(x):
+        """star(x) * x of raw parts, as a rational: the sum of their squares."""
+        # started at a Fraction, not at the int 0, so every addition is
+        # Fraction + Fraction
+        return sum(map(operator.mul, x[1:], x[1:]), x[0] * x[0])
+
+    def raw_inv(self, x):
+        # star(x) / norm(x), without building star(x)
+        n = self.raw_norm(x)
+        return (x[0] / n, *[-v / n for v in x[1:]])
 
     def parse(self, token):
-        return self.element(*_parse_units(token, self.units))
+        return self.wrap(tuple(_parse_units(token, self.units)))
 
     def format(self, x):
-        return _format_units(x.parts, self.units)
+        return _format_units(x.value, self.units)
 
     def random_element(self, rng):
-        return self.element(*(rng.randint(-self.bound, self.bound) for _ in range(len(self.element.signs))))
+        return self.element(*(rng.randint(-self.bound, self.bound) for _ in self.signs))
 
     def dot_rows(self, rows, cols, addend=None, sign=1):
         # All parts of a row (a column) come over one common denominator d
@@ -1080,11 +1021,11 @@ class _QQAlgebra(_Ring):
         # integer dot product of the column with the row's blocks e_(c xor
         # q), signed by the table times ``sign``, for q = 0, 1, ..., and one
         # Fraction over d * e, into which the addend's part c is folded.
-        signs, make = self.element.signs, self.element._of
+        signs, make = self.signs, self.wrap
         k = len(signs)
 
         def flat(vector):
-            return _over_common_denominator([x.parts[p] for p in range(k) for x in vector])
+            return _over_common_denominator([x.value[p] for p in range(k) for x in vector])
 
         right = [flat(col) for col in cols]
         out = []
@@ -1101,15 +1042,16 @@ class _QQAlgebra(_Ring):
                 out_row = [make(tuple([Fraction(sum(map(operator.mul, a, b)), d * e) for a in left])) for b, e in right]
             else:
                 out_row = [
-                    make(tuple([_plus_fraction(sum(map(operator.mul, a, b)), d * e, z) for a, z in zip(left, zs.parts)]))
+                    make(tuple([_plus_fraction(sum(map(operator.mul, a, b)), d * e, z) for a, z in zip(left, zs.value)]))
                     for (b, e), zs in zip(right, addend[i])
                 ]
             out.append(out_row)
         return out
 
 
-QQ_I = _QQAlgebra("qi", GaussianRational, "i", 9)
-QUAT = _QQAlgebra("quat", Quaternion, "ijk", 5)
+QQ_I = _QQAlgebra("qi", GaussianRational, "i", 9, ((1, 1), (1, -1)))
+# bases 1, i, j, k as e_0 .. e_3: i*i = j*j = k*k = -1, i*j = k = -j*i, cyclically
+QUAT = _QQAlgebra("quat", Quaternion, "ijk", 5, ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1)))
 
 
 class _RationalFunctionField(_Ring):
@@ -1132,7 +1074,7 @@ class _RationalFunctionField(_Ring):
 
     def lift(self, x):
         """Embed a base-field element as a constant rational function."""
-        return self.constant(self.base.unwrap(x))
+        return self.constant(x.value)
 
     def t_power(self, exponent: int):
         """t**exponent for any integer exponent, negatives included."""

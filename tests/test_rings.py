@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -20,6 +21,7 @@ from blocklin import (
     ratfun_reduce,
     ring_from_spec,
 )
+from blocklin.cyclotomic import _CyclotomicElement, lift_field, small_field
 from blocklin.rings import is_prime
 
 from conftest import stable_seed
@@ -403,7 +405,225 @@ def test_ring_from_spec_round_trip():
 
 
 def test_mixed_ring_arithmetic_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="mixed rings gf:7 and gf:5"):
         PrimeFieldElement(1, 7) + PrimeFieldElement(1, 5)
     with pytest.raises(TypeError):
         Rational(1) + 1
+
+
+def test_constructors_take_only_int_or_fraction_values():
+    for residue in (Fraction(1, 2), Fraction(4), 2.5, "3", None):
+        with pytest.raises(TypeError, match="int residue"):
+            PrimeFieldElement(residue, 7)
+    assert PrimeFieldElement(True, 7).residue == 1
+    assert PrimeFieldElement(-1, 7).residue == 6
+    assert GF(7).format(PrimeFieldElement(9, 7)) == "2"
+    with pytest.raises(TypeError):
+        PrimeFieldElement(1, 7.0)
+    with pytest.raises(ValueError):
+        PrimeFieldElement(1, 9)
+    for args in ((1.5,), ("1/2",), (1, 2.0), (Fraction(1, 2), "3"), (None,)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Rational(*args)
+    assert Rational(Fraction(1, 2), 3) == Rational(1, 6)
+    assert Rational(True).value == 1
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Quaternion(1.5)
+    with pytest.raises(TypeError, match="at most 2"):
+        GaussianRational(1, 2, 3)
+
+
+def test_named_attributes_and_reprs():
+    x = PrimeFieldElement(10, 7)
+    assert (x.value, x.residue, x.modulus, x.ring) == (3, 3, 7, GF(7))
+    assert repr(x) == "PrimeFieldElement(3, 7)"
+    assert repr(Rational(-3, 6)) == "Rational(-1/2)"
+    g = GaussianRational(1, Fraction(-1, 2))
+    assert (g.re, g.im, g.parts, g.ring) == (1, Fraction(-1, 2), g.value, QQ_I)
+    assert repr(g) == "GaussianRational(1, -1/2)"
+    q = Quaternion(1, 2, 3)
+    assert (q.a, q.b, q.c, q.d, q.ring) == (1, 2, 3, 0, QUAT)
+    assert repr(q) == "Quaternion(1, 2, 3, 0)"
+    field = small_field(7)
+    t = field.t_power(1)
+    assert t.field is field and not t.is_constant()
+    assert repr(t) == f"_CyclotomicElement({[0, 1] + [0] * 10}, {field.spec})"
+
+
+# -- the element layer against models outside the package --------------------
+#
+# Each model computes on plain values with no element class of the package:
+# Fraction arithmetic, ints mod p, a written-out Hamilton product on
+# 4-tuples (a Gaussian rational a + b*i is the quaternion (a, b, 0, 0)), and
+# coefficient lists multiplied as polynomials and reduced mod Phi_l.
+
+
+def _hamilton(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 9)) if rng.random() < 0.8 else Fraction(0)
+
+
+class _Model:
+    """make(rng) -> (element, model value); read(element) -> model value;
+    add, sub, neg and mul on model values; one, the model's unit."""
+
+    def __init__(self, ring, make, read, add, sub, neg, mul, one):
+        self.ring, self.make, self.read = ring, make, read
+        self.add, self.sub, self.neg, self.mul, self.one = add, sub, neg, mul, one
+
+
+def _rational_model():
+    def make(rng):
+        v = _fraction(rng)
+        return Rational(v), v
+
+    return _Model(QQ, make, lambda x: x.value, lambda a, b: a + b, lambda a, b: a - b, lambda a: -a, lambda a, b: a * b, 1)
+
+
+def _prime_model(p):
+    def make(rng):
+        r = rng.randrange(p) if rng.random() < 0.9 else 0
+        return PrimeFieldElement(r, p), r
+
+    return _Model(
+        GF(p),
+        make,
+        lambda x: x.value,
+        lambda a, b: (a + b) % p,
+        lambda a, b: (a - b) % p,
+        lambda a: (-a) % p,
+        lambda a, b: a * b % p,
+        1,
+    )
+
+
+def _algebra_model(ring, k):
+    def pad(x):
+        return tuple(x) + (0,) * (4 - k)
+
+    def make(rng):
+        parts = tuple(_fraction(rng) for _ in range(k)) if rng.random() < 0.9 else (0,) * k
+        return ring.element(*parts), pad(parts)
+
+    def mul(a, b):
+        out = _hamilton(a, b)
+        assert not any(out[k:]), "a product left the subalgebra"
+        return out
+
+    return _Model(
+        ring,
+        make,
+        lambda x: pad(x.value),
+        lambda a, b: tuple(u + v for u, v in zip(a, b)),
+        lambda a, b: tuple(u - v for u, v in zip(a, b)),
+        lambda a: tuple(-u for u in a),
+        mul,
+        (1, 0, 0, 0),
+    )
+
+
+def _cyclotomic_model(field):
+    p, degree = field.p, field.order - 1
+
+    def reduce_mod_phi(coeffs):
+        # Phi_l = 1 + t + ... + t^(l-1) is monic of degree l - 1 with every
+        # coefficient 1: subtract top * t^(k - l + 1) * Phi_l from the top down
+        c = list(coeffs) + [0] * max(0, degree - len(coeffs))
+        for k in range(len(c) - 1, degree - 1, -1):
+            top = c[k]
+            for j in range(k - degree, k + 1):
+                c[j] -= top
+        return tuple(v % p for v in c[:degree])
+
+    def make(rng):
+        if rng.random() < 0.1:
+            coeffs = (0,) * degree
+        elif rng.random() < 0.2:
+            coeffs = (rng.randrange(p),) + (0,) * (degree - 1)
+        else:
+            coeffs = tuple(rng.randrange(p) for _ in range(degree))
+        return _CyclotomicElement(field._pack(coeffs), field), coeffs
+
+    def mul(a, b):
+        out = [0] * (2 * degree - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return reduce_mod_phi(out)
+
+    return _Model(
+        field,
+        make,
+        lambda x: tuple(field.coefficients(x.value)),
+        lambda a, b: tuple((u + v) % p for u, v in zip(a, b)),
+        lambda a, b: tuple((u - v) % p for u, v in zip(a, b)),
+        lambda a: tuple(-u % p for u in a),
+        mul,
+        (1,) + (0,) * (degree - 1),
+    )
+
+
+ELEMENT_MODELS = [
+    _rational_model(),
+    _prime_model(2),
+    _prime_model(7),
+    _prime_model(65521),
+    _algebra_model(QQ_I, 2),
+    _algebra_model(QUAT, 4),
+    _cyclotomic_model(small_field(7)),
+    _cyclotomic_model(lift_field(7, 4)),
+]
+
+
+@pytest.mark.parametrize("model", ELEMENT_MODELS, ids=lambda m: m.ring.spec)
+def test_element_arithmetic_agrees_with_a_model(model):
+    rng = random.Random(stable_seed("element-model", model.ring.spec))
+    ring, read = model.ring, model.read
+    assert read(ring.one()) == model.one
+    assert ring.zero().is_zero() and not ring.one().is_zero()
+    for _ in range(150):
+        (x, a), (y, b) = model.make(rng), model.make(rng)
+        assert read(x) == a and read(y) == b
+        assert read(x + y) == model.add(a, b)
+        assert read(x - y) == model.sub(a, b)
+        assert read(-x) == model.neg(a)
+        assert read(x * y) == model.mul(a, b)
+        inverse = x.try_invert()
+        if inverse is None:
+            assert x.is_zero() and a == read(ring.zero())
+            continue
+        assert not x.is_zero()
+        assert model.mul(a, read(inverse)) == model.one
+        assert model.mul(read(inverse), a) == model.one
+        assert x * inverse == ring.one() == inverse * x
+        # equal elements built apart have equal hashes
+        twin = ring.one() * x
+        assert twin == x and twin is not x and hash(twin) == hash(x)
+        assert (x == y) == (a == b)
+
+
+def test_elements_of_distinct_rings_never_mix():
+    rings = [model.ring for model in ELEMENT_MODELS]
+    for r, s in itertools.permutations(rings, 2):
+        for x, y in ((r.one(), s.one()), (r.zero(), s.zero())):
+            assert x != y and not x == y
+            with pytest.raises(TypeError):
+                x + y
+            with pytest.raises(TypeError):
+                x * y
+            with pytest.raises(TypeError):
+                x - y
+    # the hash takes the ring in: the zeros and ones of distinct rings,
+    # whose raw values are often equal, do not collide
+    assert len({hash(r.one()) for r in rings}) == len(rings)
+    assert len({hash(r.zero()) for r in rings}) == len(rings)
